@@ -6,7 +6,8 @@
 # internal/replay + internal/fault), the chaos suite (fault matrix +
 # crash-recovery property tests, race-enabled — including the SIGKILL
 # restart-and-resume property test against a real pinted process), and
-# the race-enabled pinted service smoke (serve-check).
+# the race-enabled pinted service smoke (serve-check), and a stress pass
+# repeating the concurrency- and recovery-sensitive tests (stress).
 
 GO ?= go
 
@@ -23,9 +24,9 @@ BENCHOUT ?= BENCH_$(shell date +%F).json
 BENCHBASE ?= $(shell git ls-files 'BENCH_*.json' | grep -v "^$(BENCHOUT)$$" | sort | tail -1)
 BENCHTOL ?= 1.0
 
-.PHONY: ci fmt vet build test race replay-check sample-check chaos serve-check store-check bench bench-smoke
+.PHONY: ci fmt vet build test race stress replay-check sample-check chaos serve-check store-check bench bench-smoke
 
-ci: fmt vet build test race chaos replay-check sample-check serve-check store-check bench-smoke
+ci: fmt vet build test race stress chaos replay-check sample-check serve-check store-check bench-smoke
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -44,7 +45,8 @@ test:
 
 race:
 	$(GO) test -race ./internal/sim/... ./internal/runner/... \
-		./internal/telemetry/... ./internal/replay/... ./internal/fault/...
+		./internal/telemetry/... ./internal/replay/... ./internal/fault/... \
+		./internal/durable/...
 
 # Chaos suite: the fault-injection matrix, the randomized crash-recovery
 # property test and the durability tests, race-enabled. Asserts every
@@ -54,7 +56,18 @@ chaos:
 	$(GO) test -race -count=1 \
 		-run 'Chaos|Watchdog|Backoff|Compact|Corrupt|Evict|SourceSite|FuzzLoadJournal|TestFault|TestParse|TestApply|TornTail' \
 		./internal/fault/... ./internal/runner/... ./internal/replay/... \
-		./internal/server/... ./internal/store/...
+		./internal/server/... ./internal/store/... ./internal/durable/...
+
+# Stress gate: the single-flight, crash-recovery and journal-load tests
+# twenty times over on two procs, race-enabled, so a scheduling-
+# dependent failure shows up here rather than as a flaky `test`.
+# TestChaosFanoutWorkerHang stays out: its wall-clock deadline bound
+# can trip under -race on a loaded host, and making that hang path
+# deterministic is a separate fix.
+stress:
+	GOMAXPROCS=2 $(GO) test -race -count=20 \
+		-run 'TestSingleFlight|TestChaosCrashRecoveryProperty|TestLoadJournal' \
+		./internal/store ./internal/runner
 
 # Service smoke gate, race-enabled: the pinted lifecycle/admission/
 # fairness/drain suite, including two concurrent tiny campaigns from

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -94,16 +95,31 @@ func TestRunnerMemoizes(t *testing.T) {
 // spec memo-key bug: keys used to embed the spec's pointer
 // (fmt.Sprintf("%p", ...)), so mutating a spec in place silently
 // recalled the stale result, while rebuilding an identical spec at a new
-// address missed the memo. Keys must follow spec content, not identity.
+// address missed the memo. The memo is keyed by runner.ConfigKey, which
+// must follow spec content, not identity.
 func TestMemoKeyAdHocSpecByContent(t *testing.T) {
 	r := NewRunner(micro())
 	spec := trace.MustLookup("453.povray").Spec
 	cfg := r.Iso("453.povray")
 	cfg.WorkloadSpec = &spec
+	key := func(cfg sim.Config) string {
+		k, err := runner.ConfigKey(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
 
-	before := r.key(cfg)
+	before := key(cfg)
+	stale, err := r.Get(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.memo[before] != stale {
+		t.Fatal("result not memoized under its ConfigKey")
+	}
 	spec.MemFrac += 0.01 // mutate through the same pointer
-	if after := r.key(cfg); after == before {
+	if after := key(cfg); after == before {
 		t.Fatal("memo key ignored an in-place spec mutation (pointer keying)")
 	}
 
@@ -111,12 +127,15 @@ func TestMemoKeyAdHocSpecByContent(t *testing.T) {
 	clone := spec
 	cfg2 := cfg
 	cfg2.WorkloadSpec = &clone
-	if r.key(cfg) != r.key(cfg2) {
+	if key(cfg) != key(cfg2) {
 		t.Fatal("identical ad-hoc specs at different addresses keyed differently")
 	}
 	a, err := r.Get(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if a == stale {
+		t.Fatal("memo recalled the stale result after an in-place spec mutation")
 	}
 	b, err := r.Get(cfg2)
 	if err != nil {

@@ -48,7 +48,7 @@ type Runner struct {
 
 	ctx  context.Context
 	mu   sync.Mutex
-	memo map[string]*sim.Result
+	memo map[string]*sim.Result // keyed by runner.ConfigKey
 }
 
 // NewRunner builds a runner for scale.
@@ -69,36 +69,6 @@ func (r *Runner) WithContext(ctx context.Context) *Runner {
 	defer r.mu.Unlock()
 	r.ctx = ctx
 	return r
-}
-
-// key serialises the configuration fields the experiments vary. Ad-hoc
-// specs (WorkloadSpec overrides) are keyed by their contents — a stable
-// fingerprint of the normalized encoding — never by pointer identity:
-// two distinct specs allocated at a reused address must not collide,
-// and two equal specs should share a memo slot.
-func (r *Runner) key(cfg sim.Config) string {
-	dram := "default"
-	if cfg.DRAM != nil {
-		dram = fmt.Sprintf("%+v", *cfg.DRAM)
-	}
-	ad := ""
-	if cfg.WorkloadSpec != nil || cfg.AdversarySpec != nil {
-		ad = "|adhoc:" + specKey(cfg.WorkloadSpec) + "/" + specKey(cfg.AdversarySpec)
-	}
-	return fmt.Sprintf("m%d|w%s|a%s+%v|p%.6f|s%d.%d|%d/%d/%d.%d|b%s|h%+v|d%s|x%d.%.4f.%d.%d|pt%s.%d%s",
-		cfg.Mode, cfg.Workload, cfg.Adversary, cfg.Adversaries, cfg.PInduce, cfg.Seed, cfg.EngineSeed,
-		cfg.WarmupInstrs, cfg.ROIInstrs, cfg.SampleEvery, cfg.TelemetryEvery,
-		cfg.Branch, cfg.Hier, dram,
-		cfg.IndependentPeriod, cfg.DRAMContentionProb, cfg.DRAMContentionPenalty,
-		cfg.LLCWayAllocation, cfg.Partitioning, cfg.ReallocEvery, ad)
-}
-
-// specKey fingerprints an optional ad-hoc spec for memo keying.
-func specKey(s *trace.Spec) string {
-	if s == nil {
-		return "-"
-	}
-	return s.Fingerprint()
 }
 
 // base stamps the scale's budgets onto cfg.
@@ -160,7 +130,11 @@ func (r *Runner) GetAll(cfgs []sim.Config) ([]*sim.Result, error) {
 	r.mu.Lock()
 	seen := make(map[string]bool)
 	for i, cfg := range cfgs {
-		k := r.key(cfg)
+		k, err := runner.ConfigKey(cfg)
+		if err != nil {
+			r.mu.Unlock()
+			return nil, err
+		}
 		keys[i] = k
 		if r.memo[k] != nil {
 			telemetry.StoreC.MemoHits.Add(1)

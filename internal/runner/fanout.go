@@ -2,7 +2,6 @@ package runner
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -253,18 +252,7 @@ func (o *Orchestrator) runFanGroup(ctx context.Context, gi int, g []int, cfgs []
 		if o.opts.OnResult != nil {
 			o.opts.OnResult(i, keys[i], pt.Res, false)
 		}
-		if journal != nil {
-			if err := journal.Append(keys[i], pt.Res); err != nil {
-				prog.JournalError()
-				mu.Lock()
-				out.Failures = append(out.Failures, &RunError{
-					Index: i, Config: cfgs[i], Key: keys[i],
-					Attempts: 1, JournalOnly: true,
-					Err: fmt.Errorf("journaling result: %w", err),
-				})
-				mu.Unlock()
-			}
-		}
+		o.journalOne(journal, i, 1, cfgs, keys, pt.Res, out, mu, prog)
 		// Fan-group points are full-fidelity — persist them for every
 		// future campaign, after the journal append, and publish them to
 		// any concurrent campaigns waiting on this group's flights.

@@ -587,68 +587,69 @@ func (o *Orchestrator) RunAll(ctx context.Context, cfgs []sim.Config) (*Outcome,
 // result store configured, full-fidelity attempts run under its
 // single-flight: concurrent identical configs (other campaigns, other
 // tenants) collapse onto one computation, and the computing side
-// persists its result to the store after the journal append. Sampled
-// attempts bypass the store — approximations are never shared.
+// persists its result to the store after the journal append, before its
+// flight retires. Sampled attempts bypass the store — approximations are
+// never shared.
 func (o *Orchestrator) execOne(ctx context.Context, i int, cfgs []sim.Config, keys []string,
 	prior []int, out *Outcome, mu *sync.Mutex, prog *telemetry.Progress, journal *Journal) {
 	st := o.opts.Store
-	sampled := o.plans != nil && o.plans[i] != nil
+	if o.plans != nil && o.plans[i] != nil {
+		st = nil
+	}
 	var (
-		res      *sim.Result
 		attempts int
 		rerr     *RunError
 	)
-	via := store.ViaCompute
-	if st != nil && !sampled {
-		var shared *sim.Result
-		var derr error
-		shared, via, derr = st.Do(ctx, keys[i], func() (*sim.Result, error) {
-			res, attempts, rerr = o.runOne(ctx, i, cfgs[i], keys[i], prior[i], prog)
-			if rerr != nil {
-				return nil, rerr.Err
-			}
-			return res, nil
-		})
-		switch {
-		case via == store.ViaCompute:
-			// res/attempts/rerr already carry this run's own attempt.
-		case derr != nil:
-			// Canceled while waiting on another campaign's computation.
-			rerr = &RunError{Index: i, Config: cfgs[i], Key: keys[i], Err: sim.ErrCanceled}
-		default:
-			res, rerr = shared, nil
+	// settle lands one completed result: counted, kept, reported and
+	// journaled.
+	settle := func(res *sim.Result, ran bool) {
+		mu.Lock()
+		if ran {
+			out.Ran++
+		} else {
+			out.FromStore++
 		}
-	} else {
-		res, attempts, rerr = o.runOne(ctx, i, cfgs[i], keys[i], prior[i], prog)
-	}
-
-	mu.Lock()
-	if via == store.ViaCompute {
-		out.Ran++
-	} else if rerr == nil {
-		out.FromStore++
-	}
-	if rerr != nil {
-		out.Failures = append(out.Failures, rerr)
+		out.Results[i] = res
 		mu.Unlock()
-		prog.RunFailed()
-		return
+		prog.RunCompleted()
+		if o.opts.OnResult != nil {
+			o.opts.OnResult(i, keys[i], res, false)
+		}
+		o.journalOne(journal, i, attempts, cfgs, keys, res, out, mu, prog)
 	}
-	out.Results[i] = res
-	mu.Unlock()
-	prog.RunCompleted()
-	if o.opts.OnResult != nil {
-		o.opts.OnResult(i, keys[i], res, false)
-	}
-	o.journalOne(journal, i, attempts, cfgs, keys, res, out, mu, prog)
-	if st != nil && !sampled && via == store.ViaCompute {
+	res, via, err := st.Do(ctx, keys[i], func() (*sim.Result, error) {
+		var res *sim.Result
+		res, attempts, rerr = o.runOne(ctx, i, cfgs[i], keys[i], prior[i], prog)
+		if rerr != nil {
+			return nil, rerr.Err
+		}
+		return res, nil
+	}, func(res *sim.Result) {
+		settle(res, true)
 		// Persist for every future campaign, after the journal append so
 		// the campaign's own durability is settled first. A failed Put
 		// costs only the cache entry — the run already succeeded.
 		if err := st.Put(keys[i], res); err != nil {
 			o.logf("store: caching result of run %d failed (campaign unaffected): %v", i, err)
 		}
+	})
+	switch {
+	case via == store.ViaCompute && rerr == nil:
+		return // settled by the persist callback
+	case via != store.ViaCompute && err == nil:
+		settle(res, false)
+		return
+	case via != store.ViaCompute:
+		// Canceled while waiting on another campaign's computation.
+		rerr = &RunError{Index: i, Config: cfgs[i], Key: keys[i], Err: sim.ErrCanceled}
 	}
+	mu.Lock()
+	if via == store.ViaCompute {
+		out.Ran++
+	}
+	out.Failures = append(out.Failures, rerr)
+	mu.Unlock()
+	prog.RunFailed()
 }
 
 // journalOne appends one completed result to the resume journal,

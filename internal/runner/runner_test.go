@@ -300,6 +300,25 @@ func TestLoadJournalToleratesTruncation(t *testing.T) {
 	if !st.TruncatedTail || st.Skipped != 0 || st.Entries != 2 {
 		t.Fatalf("truncated tail misclassified: %+v", st)
 	}
+
+	// A final line that kept its newline is not a torn append: one whose
+	// checksum fails is corruption, skipped and counted, not a tail.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact := raw[:bytes.LastIndexByte(raw, '\n')+1]
+	bad := append(append([]byte(nil), intact...), "!deadbeef {\"key\":\"k\",\"result\":{}}\n"...)
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done, st, err = LoadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 2 || st.Entries != 2 || st.Skipped != 1 || st.CRCFailed != 1 || st.TruncatedTail {
+		t.Fatalf("newline-terminated bad-CRC final line misclassified: %+v", st)
+	}
 }
 
 // TestLoadJournalSkipsMidFileCorruption is the counterpart regression:

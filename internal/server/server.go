@@ -445,9 +445,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	return perr
 }
 
-// Close releases the pool and cancels any still-running campaign
-// context. Call after Drain (or instead of it for a hard stop).
+// Close cancels any still-running campaign context, releases the pool
+// and waits for every campaign goroutine to finalize, so nothing writes
+// the data directory after it returns. Call after Drain (or instead of
+// it for a hard stop).
 func (s *Server) Close() {
 	s.stop()
 	s.pool.Close()
+	s.wg.Wait()
 }

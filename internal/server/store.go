@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/fault"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
@@ -64,10 +65,10 @@ type manifest struct {
 
 // Store is the service's durable state: a manifest.json plus one resume
 // journal per campaign under journals/. Manifest writes are atomic
-// (temp + fsync + rename + directory sync) and roll back in memory on
-// failure, so the in-memory view never claims durability it doesn't
-// have — a crash at any instant leaves either the old manifest or the
-// new one.
+// (durable.WriteJSON: temp + fsync + rename + directory sync) and roll
+// back in memory on failure, so the in-memory view never claims
+// durability it doesn't have — a crash at any instant leaves either the
+// old manifest or the new one.
 type Store struct {
 	mu  sync.Mutex
 	dir string
@@ -112,50 +113,18 @@ func NewID() string {
 	return "c-" + hex.EncodeToString(b[:])
 }
 
-// saveLocked persists the manifest atomically. The caller holds st.mu
-// and must roll back its in-memory mutation if this fails.
+// saveLocked persists the manifest atomically (durable.WriteJSON). The
+// caller holds st.mu and must roll back its in-memory mutation if this
+// fails.
 func (st *Store) saveLocked() error {
-	if err := fault.Err(fault.SiteServerManifest); err != nil {
-		telemetry.Server.ManifestErrors.Add(1)
-		return err
+	err := fault.Err(fault.SiteServerManifest)
+	if err == nil {
+		err = durable.WriteJSON(st.manifestPath(), &st.m)
 	}
-	b, err := json.MarshalIndent(&st.m, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := st.manifestPath() + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		telemetry.Server.ManifestErrors.Add(1)
-		return err
 	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		telemetry.Server.ManifestErrors.Add(1)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		telemetry.Server.ManifestErrors.Add(1)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		telemetry.Server.ManifestErrors.Add(1)
-		return err
-	}
-	if err := os.Rename(tmp, st.manifestPath()); err != nil {
-		os.Remove(tmp)
-		telemetry.Server.ManifestErrors.Add(1)
-		return err
-	}
-	if dir, err := os.Open(st.dir); err == nil {
-		dir.Sync() //nolint:errcheck // advisory: data is already safe in the file
-		dir.Close()
-	}
-	return nil
+	return err
 }
 
 // Put inserts or replaces a campaign's manifest record durably. On a

@@ -43,12 +43,19 @@ var testWaitHook func()
 // panics is chaos-safe: its waiters wake into their own attempts (one
 // of them becomes the next leader) rather than inheriting the failure.
 //
-// Do does not write the store; the leader's caller persists the result
-// itself (journal first, then Put) so durability ordering matches the
-// campaign journal. On a nil store Do degrades to calling compute.
-func (s *Store) Do(ctx context.Context, key string, compute func() (*sim.Result, error)) (*sim.Result, Via, error) {
+// Do does not write the store; the leader's persist (nil for none)
+// does, so durability ordering stays the caller's (the campaign journal
+// first, then Put). Waiters are released with the result as soon as
+// compute returns and never wait on persist, but the finished flight
+// stays resolvable until persist returns: a duplicate arriving while the
+// result is still on its way into the store shares it instead of
+// recomputing. On a nil store Do degrades to compute then persist.
+func (s *Store) Do(ctx context.Context, key string, compute func() (*sim.Result, error), persist func(*sim.Result)) (*sim.Result, Via, error) {
 	if s == nil {
 		res, err := compute()
+		if err == nil && persist != nil {
+			persist(res)
+		}
 		return res, ViaCompute, err
 	}
 	for {
@@ -81,28 +88,38 @@ func (s *Store) Do(ctx context.Context, key string, compute func() (*sim.Result,
 		f := &flight{done: make(chan struct{})}
 		s.flights[key] = f
 		s.fmu.Unlock()
-
-		var (
-			res *sim.Result
-			err error
-		)
-		func() {
-			// The deferred unwind runs even when compute panics, so
-			// waiters are always released; the panic itself propagates to
-			// the caller's recovery (the runner's safeCall).
-			defer func() {
-				s.fmu.Lock()
-				delete(s.flights, key)
-				s.fmu.Unlock()
-				close(f.done)
-			}()
-			res, err = compute()
-			if err == nil {
-				f.res, f.ok = res, true
-			}
-		}()
+		res, err := s.lead(key, f, compute, persist)
 		return res, ViaCompute, err
 	}
+}
+
+// lead runs compute and persist as the leader of flight f. The deferred
+// unwinds run even when compute or persist panics, so waiters are always
+// released and the flight always retired; the panic itself propagates
+// to the caller's recovery (the runner's safeCall).
+func (s *Store) lead(key string, f *flight, compute func() (*sim.Result, error), persist func(*sim.Result)) (*sim.Result, error) {
+	retire := func() {
+		s.fmu.Lock()
+		delete(s.flights, key)
+		s.fmu.Unlock()
+	}
+	defer func() {
+		if !f.ok {
+			retire()
+			close(f.done)
+		}
+	}()
+	res, err := compute()
+	if err != nil {
+		return nil, err
+	}
+	f.res, f.ok = res, true
+	close(f.done)
+	defer retire()
+	if persist != nil {
+		persist(res)
+	}
+	return res, nil
 }
 
 // BeginFlights claims leadership of every key not already in flight, in

@@ -4,16 +4,17 @@
 // ever computed — by any campaign, binary, or pinted tenant sharing the
 // store directory — is a cache hit instead of a recomputation.
 //
-// Layout. Results are CRC-framed records (the resume journal's
-// `!<crc32c> <json>` framing) in append-only segment files
+// Layout. Results are internal/durable records (`!<crc32c> <json>`
+// lines, the resume journal's framing) in append-only segment files
 // (seg-<seq>.seg) under one directory, plus a small meta.json carrying
-// the segment sequence counter and the LRU clock, written with the
-// write-temp→fsync→rename discipline of server.Store. There is no
-// persistent index: the in-memory index is rebuilt by scanning the
-// segments on open (no mmap), with LoadJournal's corruption contract —
-// a torn final record (crash mid-append) is trimmed benignly, a corrupt
-// record anywhere else is skipped and counted while everything after it
-// still loads.
+// the segment sequence counter and the LRU clock, written with
+// durable.WriteJSON (temp file, fsync, rename, directory fsync). There
+// is no persistent index: the in-memory index is rebuilt by scanning
+// the segments on open (no mmap), under durable's one recovery rule — a
+// final record without its newline (crash mid-append) is a torn tail,
+// trimmed from the writing segment; a newline-terminated record that
+// fails its frame, CRC or decode is skipped and counted while
+// everything after it still loads.
 //
 // Staleness. Each record embeds the simulator fingerprint of the build
 // that wrote it. Only records matching the opening build's fingerprint
@@ -34,35 +35,24 @@
 package store
 
 import (
-	"bufio"
-	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-// Record framing, shared with the resume journal:
-//
-//	!<8 hex chars of crc32c(payload)> <payload JSON>\n
-const (
-	crcSigil     = '!'
-	crcHexLen    = 8
-	crcPrefixLen = crcHexLen + 2 // sigil + hex + space
-	// maxRecordBytes bounds one record (a Result with samples and
-	// histograms is tens of KB).
-	maxRecordBytes = 64 << 20
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// maxRecordBytes bounds one record (a Result with samples and
+// histograms is tens of KB).
+const maxRecordBytes = 64 << 20
 
 // record is one segment line's payload: the writing build's simulator
 // fingerprint, the config key, and the result (which embeds its config,
@@ -130,7 +120,7 @@ type Store struct {
 	mu    sync.Mutex
 	segs  []*segment // open order == seq order; last is the writing segment
 	index map[string]loc
-	w     *os.File // append handle of the writing segment
+	w     *durable.Appender // append handle of the writing segment
 	clock int64
 
 	fmu     sync.Mutex
@@ -207,7 +197,7 @@ func open(opts Options) (*Store, error) {
 	// Resume appends into the last segment when it has room; otherwise
 	// (or with no segments at all) the first Put rolls a fresh one.
 	if n := len(s.segs); n > 0 && s.segs[n-1].size < s.segMax {
-		w, err := os.OpenFile(s.segs[n-1].path, os.O_WRONLY|os.O_APPEND, 0o644)
+		w, err := durable.OpenAppender(s.segs[n-1].path, 0)
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
@@ -228,96 +218,59 @@ func open(opts Options) (*Store, error) {
 // scanSegment rebuilds seg's index contribution. Records under other
 // fingerprints are counted stale and kept un-indexed; corrupt records
 // are skipped and counted; a torn tail on the final segment is trimmed
-// so the next append starts on a clean line boundary.
+// so the next append starts on a clean line boundary. Only the final
+// segment is ever appended to, so a torn tail elsewhere is damage, not
+// a crash artifact: it is counted corrupt and left in place.
 func (s *Store) scanSegment(seg *segment, last bool) error {
-	f, err := os.Open(seg.path)
+	scan := durable.Scan
+	if last {
+		scan = durable.Recover
+	}
+	st, err := scan(seg.path, func(off int64, line []byte) error {
+		var rec record
+		if err := decodeRecord(line, &rec); err != nil {
+			return err
+		}
+		if rec.FP != s.fp {
+			telemetry.StoreC.StaleSkipped.Add(1)
+			return nil
+		}
+		s.index[rec.Key] = loc{seg: seg, off: off, n: len(line)}
+		seg.keys = append(seg.keys, rec.Key)
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 256<<10)
-	var off int64
-	// lastBad remembers a trailing failed record so it can be
-	// reclassified as a benign torn tail instead of corruption.
-	lastBad := false
-	goodEnd := int64(0)
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(line) == 0 && err != nil {
-			break
-		}
-		n := len(line)
-		complete := n > 0 && line[n-1] == '\n'
-		if complete {
-			line = line[:n-1]
-		}
-		var rec record
-		if !complete || parseRecord(line, &rec) != nil || rec.Key == "" || rec.Result == nil {
-			if last && (err != nil || !complete) {
-				lastBad = true
-			} else {
-				telemetry.StoreC.CorruptRecords.Add(1)
-			}
-			off += int64(n)
-			if err != nil {
-				break
-			}
-			continue
-		}
-		if rec.FP == s.fp {
-			s.index[rec.Key] = loc{seg: seg, off: off, n: n - 1}
-			seg.keys = append(seg.keys, rec.Key)
-		} else {
-			telemetry.StoreC.StaleSkipped.Add(1)
-		}
-		off += int64(n)
-		goodEnd = off
-		lastBad = false
-		if err != nil {
-			break
-		}
-	}
-	seg.size = off
-	if lastBad {
+	telemetry.StoreC.CorruptRecords.Add(int64(st.Corrupt))
+	seg.size = st.Size
+	switch {
+	case st.Torn == 0:
+	case last:
 		telemetry.StoreC.TornTails.Add(1)
-		if err := os.Truncate(seg.path, goodEnd); err != nil {
-			return fmt.Errorf("store: trimming torn tail of %s: %w", seg.name, err)
-		}
-		seg.size = goodEnd
+	default:
+		telemetry.StoreC.CorruptRecords.Add(1)
+		seg.size += st.Torn
 	}
 	return nil
 }
 
-// frameRecord renders one checksummed segment line (without newline).
-func frameRecord(rec record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	line := make([]byte, crcPrefixLen+len(payload))
-	line[0] = crcSigil
-	sum := crc32.Checksum(payload, crcTable)
-	hex.Encode(line[1:1+crcHexLen], []byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)})
-	line[crcPrefixLen-1] = ' '
-	copy(line[crcPrefixLen:], payload)
-	return line, nil
-}
+// errIncomplete marks a record that decoded but lacks a key or result.
+var errIncomplete = errors.New("record without key or result")
 
-// parseRecord decodes one framed line, verifying the checksum.
-func parseRecord(line []byte, rec *record) error {
-	if len(line) < crcPrefixLen || line[0] != crcSigil || line[crcPrefixLen-1] != ' ' {
-		return fmt.Errorf("malformed record frame")
+// decodeRecord verifies and decodes one framed segment line.
+func decodeRecord(line []byte, rec *record) error {
+	payload, err := durable.Unframe(line)
+	if err != nil {
+		return err
 	}
-	var sum [4]byte
-	if _, err := hex.Decode(sum[:], line[1:1+crcHexLen]); err != nil {
-		return fmt.Errorf("malformed checksum: %v", err)
+	if err := json.Unmarshal(payload, rec); err != nil {
+		return err
 	}
-	payload := line[crcPrefixLen:]
-	want := uint32(sum[0])<<24 | uint32(sum[1])<<16 | uint32(sum[2])<<8 | uint32(sum[3])
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return fmt.Errorf("checksum mismatch: %08x != %08x", got, want)
+	if rec.Key == "" || rec.Result == nil {
+		return errIncomplete
 	}
-	return json.Unmarshal(payload, rec)
+	return nil
 }
 
 // testReadHook, when non-nil, runs between a reader pinning its
@@ -412,7 +365,7 @@ func readRecord(rd *os.File, rdErr error, l loc, key, fp string) (*sim.Result, e
 		return nil, err
 	}
 	var rec record
-	if err := parseRecord(buf, &rec); err != nil {
+	if err := decodeRecord(buf, &rec); err != nil {
 		return nil, err
 	}
 	if rec.Key != key || rec.FP != fp {
@@ -438,10 +391,11 @@ func (s *Store) Put(key string, res *sim.Result) error {
 }
 
 func (s *Store) put(key string, res *sim.Result) error {
-	line, err := frameRecord(record{FP: s.fp, Key: key, Result: res})
+	payload, err := json.Marshal(record{FP: s.fp, Key: key, Result: res})
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	line := durable.Frame(payload)
 	if len(line) > maxRecordBytes {
 		return fmt.Errorf("store: record for %s exceeds %d bytes", key, maxRecordBytes)
 	}
@@ -460,13 +414,8 @@ func (s *Store) put(key string, res *sim.Result) error {
 	}
 	seg := s.writing()
 	off := seg.size
-	if _, err := s.w.Write(append(line, '\n')); err != nil {
+	if err := s.w.Append(line); err != nil {
 		return fmt.Errorf("store: appending to %s: %w", seg.name, err)
-	}
-	// Push the record to stable storage, matching the journal's
-	// per-append durability.
-	if err := s.w.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
 	}
 	seg.size = off + int64(len(line)) + 1
 	s.index[key] = loc{seg: seg, off: off, n: len(line)}
@@ -496,17 +445,14 @@ func (s *Store) rollLocked() error {
 	}
 	name := fmt.Sprintf("seg-%08d.seg", seq)
 	path := filepath.Join(s.dir, name)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	w, err := durable.OpenAppender(path, os.O_CREATE|os.O_EXCL)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if dir, derr := os.Open(s.dir); derr == nil {
-		dir.Sync() //nolint:errcheck // advisory
-		dir.Close()
-	}
+	durable.SyncDir(s.dir)
 	s.clock++
 	s.segs = append(s.segs, &segment{name: name, path: path, seq: seq, lastHit: s.clock})
-	s.w = f
+	s.w = w
 	return nil
 }
 
@@ -608,7 +554,7 @@ func (s *Store) FingerprintID() string {
 	return s.fp
 }
 
-// Close persists meta.json (write-temp→fsync→rename, like the service
+// Close persists meta.json (durable.WriteJSON, like the service
 // manifest) and closes every file handle.
 func (s *Store) Close() error {
 	if s == nil {
@@ -638,46 +584,10 @@ func (s *Store) Close() error {
 			seg.rd = nil
 		}
 	}
-	if err := s.saveMeta(m); err != nil && firstErr == nil {
+	if err := durable.WriteJSON(filepath.Join(s.dir, "meta.json"), &m); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
-}
-
-// saveMeta writes meta.json atomically.
-func (s *Store) saveMeta(m meta) error {
-	b, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(s.dir, "meta.json.tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, "meta.json")); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if dir, err := os.Open(s.dir); err == nil {
-		dir.Sync() //nolint:errcheck // advisory
-		dir.Close()
-	}
-	return nil
 }
 
 func (s *Store) logfSafe(format string, args ...any) {

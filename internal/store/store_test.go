@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -258,7 +259,7 @@ func TestGCEnforcesBudgetLRU(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments so each Put rolls quickly; budget of ~4 segments.
 	res := fakeResult(0)
-	recBytes := len(mustJSON(t, record{FP: "sim-test", Key: fakeKey(0), Result: res})) + crcPrefixLen + 1
+	recBytes := len(durable.Frame(mustJSON(t, record{FP: "sim-test", Key: fakeKey(0), Result: res}))) + 1
 	segBytes := int64(recBytes + 1) // one record per segment
 	budget := 4 * segBytes
 	diff := storeDelta()
@@ -305,7 +306,7 @@ func TestGCEnforcesBudgetLRU(t *testing.T) {
 func TestGCNeverEvictsSegmentWithActiveReader(t *testing.T) {
 	dir := t.TempDir()
 	res := fakeResult(0)
-	recBytes := len(mustJSON(t, record{FP: "sim-test", Key: fakeKey(0), Result: res})) + crcPrefixLen + 1
+	recBytes := len(durable.Frame(mustJSON(t, record{FP: "sim-test", Key: fakeKey(0), Result: res}))) + 1
 	segBytes := int64(recBytes + 1)
 	s := openT(t, Options{Dir: dir, Fingerprint: "sim-test", SegmentBytes: segBytes, BudgetBytes: 3 * segBytes})
 	if err := s.Put(fakeKey(0), fakeResult(0)); err != nil {
@@ -345,7 +346,9 @@ func TestGCNeverEvictsSegmentWithActiveReader(t *testing.T) {
 func TestSingleFlightCollapsesDuplicates(t *testing.T) {
 	s := openT(t, Options{Dir: t.TempDir(), Fingerprint: "sim-test"})
 	const n = 16
-	var computes atomic.Int64
+	var computes, parked atomic.Int64
+	testWaitHook = func() { parked.Add(1) }
+	defer func() { testWaitHook = nil }()
 	block := make(chan struct{})
 	diff := storeDelta()
 	var wg sync.WaitGroup
@@ -359,16 +362,16 @@ func TestSingleFlightCollapsesDuplicates(t *testing.T) {
 				computes.Add(1)
 				<-block // hold all duplicates in flight
 				return fakeResult(7), nil
-			})
+			}, nil)
 			if err != nil {
 				t.Errorf("Do: %v", err)
 			}
 			results[i], vias[i] = res, via
 		}(i)
 	}
-	// Wait for the leader to be computing so every other goroutine piles
-	// onto its flight, then release.
-	for computes.Load() == 0 {
+	// Wait until every duplicate has parked on the leader's flight, then
+	// release the leader.
+	for parked.Load() < n-1 {
 		runtime.Gosched()
 	}
 	close(block)
@@ -396,6 +399,59 @@ func TestSingleFlightCollapsesDuplicates(t *testing.T) {
 	}
 }
 
+// TestSingleFlightSharesUntilPersisted pins the retire-after-persist
+// window: a duplicate that arrives after the leader's compute returned
+// but before its result reached the store must share the finished
+// flight, not recompute, and must not wait on the leader's persistence.
+func TestSingleFlightSharesUntilPersisted(t *testing.T) {
+	s := openT(t, Options{Dir: t.TempDir(), Fingerprint: "sim-test"})
+	diff := storeDelta()
+	var computes atomic.Int64
+	compute := func() (*sim.Result, error) {
+		computes.Add(1)
+		return fakeResult(7), nil
+	}
+	var dupVia Via
+	var dupRes *sim.Result
+	res, via, err := s.Do(context.Background(), fakeKey(0), compute, func(res *sim.Result) {
+		// Still persisting: the result is not in the store yet. The
+		// duplicate runs synchronously here, so a Do that made it wait
+		// for persistence would deadlock.
+		if _, ok := s.Lookup(fakeKey(0)); ok {
+			t.Error("result visible in the store before persist ran")
+		}
+		var err error
+		dupRes, dupVia, err = s.Do(context.Background(), fakeKey(0), compute, func(*sim.Result) {
+			t.Error("duplicate persisted a result it did not compute")
+		})
+		if err != nil {
+			t.Errorf("duplicate Do: %v", err)
+		}
+		if err := s.Put(fakeKey(0), res); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil || via != ViaCompute || res == nil {
+		t.Fatalf("leader: res=%v via=%v err=%v", res, via, err)
+	}
+	if got := computes.Load(); got != 1 {
+		t.Fatalf("compute ran %d times, want 1", got)
+	}
+	if dupVia != ViaFlight || dupRes != res {
+		t.Fatalf("duplicate via=%v res=%p, want ViaFlight sharing %p", dupVia, dupRes, res)
+	}
+	if d := diff(); d["singleflight_shared"] != 1 {
+		t.Fatalf("delta = %v, want singleflight_shared=1", d)
+	}
+	if s.InFlight(fakeKey(0)) {
+		t.Fatal("flight still registered after persist returned")
+	}
+	// Once persisted, later duplicates are plain store hits.
+	if _, via, _ := s.Do(context.Background(), fakeKey(0), compute, nil); via != ViaHit {
+		t.Fatalf("after persist: via=%v, want ViaHit", via)
+	}
+}
+
 func TestSingleFlightPanickedLeaderWakesWaiters(t *testing.T) {
 	s := openT(t, Options{Dir: t.TempDir(), Fingerprint: "sim-test"})
 	var attempts atomic.Int64
@@ -411,7 +467,7 @@ func TestSingleFlightPanickedLeaderWakesWaiters(t *testing.T) {
 			close(leaderIn)
 			<-leaderGo
 			panic("chaos: leader dies")
-		})
+		}, nil)
 	}()
 	<-leaderIn
 
@@ -432,7 +488,7 @@ func TestSingleFlightPanickedLeaderWakesWaiters(t *testing.T) {
 		res, _, err := s.Do(context.Background(), fakeKey(0), func() (*sim.Result, error) {
 			attempts.Add(1)
 			return fakeResult(1), nil
-		})
+		}, nil)
 		if err == nil && (res == nil || res.Instrs != fakeResult(1).Instrs) {
 			err = fmt.Errorf("wrong result %+v", res)
 		}
@@ -463,7 +519,7 @@ func TestSingleFlightWaiterHonorsContext(t *testing.T) {
 			close(leaderIn)
 			<-leaderGo
 			return fakeResult(0), nil
-		})
+		}, nil)
 	}()
 	<-leaderIn
 	ctx, cancel := context.WithCancel(context.Background())
@@ -471,7 +527,7 @@ func TestSingleFlightWaiterHonorsContext(t *testing.T) {
 	_, _, err := s.Do(ctx, fakeKey(0), func() (*sim.Result, error) {
 		t.Error("canceled waiter must not compute")
 		return nil, nil
-	})
+	}, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -486,7 +542,7 @@ func TestNilStoreIsNoCache(t *testing.T) {
 	if err := s.Put("k", fakeResult(0)); err != nil {
 		t.Fatal(err)
 	}
-	res, via, err := s.Do(context.Background(), "k", func() (*sim.Result, error) { return fakeResult(3), nil })
+	res, via, err := s.Do(context.Background(), "k", func() (*sim.Result, error) { return fakeResult(3), nil }, nil)
 	if err != nil || via != ViaCompute || res.Instrs != fakeResult(3).Instrs {
 		t.Fatalf("nil Do: res=%+v via=%v err=%v", res, via, err)
 	}

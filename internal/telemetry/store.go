@@ -24,9 +24,10 @@ type StoreCounters struct {
 	// checksum mismatch); the entry is dropped from the index and the
 	// lookup degrades to a miss.
 	ReadErrors atomic.Int64
-	// CorruptRecords counts mid-segment records dropped during an open
-	// scan (bad JSON or a failed CRC), LoadJournal-style: the scan
-	// continues and every intact record after them still loads.
+	// CorruptRecords counts newline-terminated records dropped during
+	// an open scan (bad JSON or a failed CRC), under internal/durable's
+	// recovery rule: the scan continues and every intact record after
+	// them still loads.
 	CorruptRecords atomic.Int64
 	// TornTails counts benign final-record truncations (a crash
 	// mid-append) trimmed away on open.
