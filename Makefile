@@ -59,15 +59,17 @@ chaos:
 		./internal/server/... ./internal/store/... ./internal/durable/...
 
 # Stress gate: the single-flight, crash-recovery and journal-load tests
-# twenty times over on two procs, race-enabled, so a scheduling-
-# dependent failure shows up here rather than as a flaky `test`.
-# TestChaosFanoutWorkerHang stays out: its wall-clock deadline bound
-# can trip under -race on a loaded host, and making that hang path
-# deterministic is a separate fix.
+# plus the dispatch-sensitive ones (pool scheduling, fan-out groups and
+# their chaos panic/hang paths, the stall watchdog, cancellation, the
+# fan barrier) twenty times over on two procs, race-enabled, so a
+# scheduling-dependent failure shows up here rather than as a flaky
+# `test`.
 stress:
 	GOMAXPROCS=2 $(GO) test -race -count=20 \
-		-run 'TestSingleFlight|TestChaosCrashRecoveryProperty|TestLoadJournal' \
+		-run 'TestSingleFlight|TestChaosCrashRecoveryProperty|TestLoadJournal|TestPool|TestFanout|TestChaosFanout|TestWatchdog|TestCancel' \
 		./internal/store ./internal/runner
+	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestFanBarrier|TestFanAbort' \
+		./internal/replay
 
 # Service smoke gate, race-enabled: the pinted lifecycle/admission/
 # fairness/drain suite, including two concurrent tiny campaigns from

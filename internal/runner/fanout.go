@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -19,16 +18,17 @@ import (
 // at the next rung instead of retrying immediately; the fan-out phase
 // itself never consumes per-run retry budget.
 //
-// With no shared pool, groups run one at a time: the fan barrier keeps
-// a group's points within one decoded batch of each other, so a group's
-// concurrency costs one simulator's private state per extra point
-// rather than a full worker, and running groups serially keeps the
-// campaign's peak footprint at one decode buffer regardless of
-// Options.Workers. On a shared pool (the campaign service), each group
-// is one weighted-queue task — one worker slot per group — so
-// concurrent campaigns' groups interleave under fair scheduling and a
-// draining pool sheds not-yet-started groups back to the journal-pending
-// state while in-flight groups finish and checkpoint.
+// Like every phase, the fan phase runs as pool tasks: each group is one
+// task on the campaign's queue and holds one worker slot, so
+// Options.Workers (or the shared pool's size) bounds how many groups are
+// in flight and Options.FanMaxGroup bounds each group's size. The fan
+// barrier keeps a group's points within one decoded batch of each
+// other, so a group costs one decode buffer plus one simulator's private
+// state per point; the campaign's peak footprint is at most Workers such
+// groups. On a shared pool (the campaign service) concurrent campaigns'
+// groups interleave under fair scheduling, and a draining pool sheds
+// not-yet-started groups back to the journal-pending state while
+// in-flight groups finish and checkpoint.
 //
 // A group is only fanned when every member is actually pending. A
 // resumed campaign whose journal already covers part of a group leaves
@@ -103,54 +103,26 @@ func fanGroups(cfgs []sim.Config, keys []string, pending []int, maxGroup int, re
 	return groups, rest
 }
 
-// runFanPhase executes the fan-out groups — serially when q is nil, as
-// one shared-pool task per group otherwise — and returns the indices
-// still pending for the per-run path (non-grouped points plus
-// fallbacks, plus whole groups shed by a draining pool).
-func (o *Orchestrator) runFanPhase(ctx context.Context, cfgs []sim.Config, keys []string,
-	pending []int, prior []int, out *Outcome, mu *sync.Mutex,
-	prog *telemetry.Progress, journal *Journal, q *Queue) []int {
-
-	groups, rest := fanGroups(cfgs, keys, pending, o.opts.FanMaxGroup, func(i int) bool {
-		return out.Results[i] != nil
+// runFanPhase executes the fan-out groups, one pool task per group, and
+// returns the indices still pending for the per-run phase: non-grouped
+// points, fallbacks, and the points of groups that never started (shed
+// by a draining pool or left behind by cancellation), which re-enter at
+// rung 0 where the per-run phase's cancel accounting applies.
+func (c *campaign) runFanPhase(ctx context.Context, pending []int) []int {
+	groups, rest := fanGroups(c.cfgs, c.keys, pending, c.opts.FanMaxGroup, func(i int) bool {
+		return c.out.Results[i] != nil
 	})
-	if q == nil {
-		for gi, g := range groups {
-			if ctx.Err() != nil {
-				// Cancelled mid-phase: the remaining groups' points drain
-				// through the per-run path's cancellation accounting.
-				rest = append(rest, g...)
-				continue
-			}
-			rest = append(rest, o.runFanGroup(ctx, gi, g, cfgs, keys, prior, out, mu, prog, journal)...)
-		}
-	} else {
-		var rmu sync.Mutex
-		var wg sync.WaitGroup
-		for gi, g := range groups {
-			gi, g := gi, g
-			wg.Add(1)
-			q.Submit(func(shed bool) {
-				defer wg.Done()
-				if shed || ctx.Err() != nil {
-					// A shed or cancelled group never attempted its
-					// points: they re-enter the per-run path at rung 0,
-					// where drain/cancel accounting applies.
-					rmu.Lock()
-					rest = append(rest, g...)
-					rmu.Unlock()
-					return
-				}
-				fb := o.runFanGroup(ctx, gi, g, cfgs, keys, prior, out, mu, prog, journal)
-				if len(fb) > 0 {
-					rmu.Lock()
-					rest = append(rest, fb...)
-					rmu.Unlock()
-				}
-			})
-		}
-		wg.Wait()
+	var rmu sync.Mutex
+	requeue := func(idx []int) {
+		rmu.Lock()
+		rest = append(rest, idx...)
+		rmu.Unlock()
 	}
+	c.dispatch(ctx, len(groups), func(gi int) {
+		requeue(c.runFanGroup(ctx, gi, groups[gi]))
+	}, func(gi int) {
+		requeue(groups[gi])
+	})
 	sort.Ints(rest)
 	return rest
 }
@@ -161,12 +133,11 @@ func (o *Orchestrator) runFanPhase(ctx context.Context, cfgs []sim.Config, keys 
 // backoff ladder instead of retrying immediately) plus points another
 // campaign is computing right now (no prior attempt — the per-run path
 // collapses them onto that computation via the store's single-flight).
-func (o *Orchestrator) runFanGroup(ctx context.Context, gi int, g []int, cfgs []sim.Config, keys []string,
-	prior []int, out *Outcome, mu *sync.Mutex, prog *telemetry.Progress, journal *Journal) (fallback []int) {
-
+func (c *campaign) runFanGroup(ctx context.Context, gi int, g []int) (fallback []int) {
 	run := g
 	published := make(map[string]*sim.Result)
-	if st := o.opts.Store; st != nil {
+	st := c.opts.Store
+	if st != nil {
 		// The admission-time store check may be stale by the time this
 		// group is scheduled: re-check each point, then claim the rest in
 		// one sweep so concurrent campaigns running the same configs wait
@@ -174,20 +145,12 @@ func (o *Orchestrator) runFanGroup(ctx context.Context, gi int, g []int, cfgs []
 		run = nil
 		var claimKeys []string
 		for _, i := range g {
-			if res, ok := st.Lookup(keys[i]); ok {
-				mu.Lock()
-				out.Results[i] = res
-				out.FromStore++
-				mu.Unlock()
-				prog.RunCompleted()
-				if o.opts.OnResult != nil {
-					o.opts.OnResult(i, keys[i], res, false)
-				}
-				o.journalOne(journal, i, 0, cfgs, keys, res, out, mu, prog)
+			if res, ok := st.Lookup(c.keys[i]); ok {
+				c.land(i, res, 0, false)
 				continue
 			}
 			run = append(run, i)
-			claimKeys = append(claimKeys, keys[i])
+			claimKeys = append(claimKeys, c.keys[i])
 		}
 		claimed, finish := st.BeginFlights(claimKeys)
 		// The deferred finish releases waiters even when the group
@@ -196,7 +159,7 @@ func (o *Orchestrator) runFanGroup(ctx context.Context, gi int, g []int, cfgs []
 		defer func() { finish(published) }()
 		kept := run[:0]
 		for _, i := range run {
-			if claimed[keys[i]] {
+			if claimed[c.keys[i]] {
 				kept = append(kept, i)
 			} else {
 				fallback = append(fallback, i)
@@ -210,24 +173,18 @@ func (o *Orchestrator) runFanGroup(ctx context.Context, gi int, g []int, cfgs []
 
 	gcfgs := make([]sim.Config, len(run))
 	for j, i := range run {
-		c := cfgs[i]
-		if c.Streams == nil {
-			c.Streams = o.opts.Streams
+		cfg := c.cfgs[i]
+		if cfg.Streams == nil {
+			cfg.Streams = c.opts.Streams
 		}
-		gcfgs[j] = c
+		gcfgs[j] = cfg
 	}
-	gctx := ctx
-	cancel := func() {}
-	if o.opts.Timeout > 0 {
-		// The group shares one budget: a point's deadline is not
-		// meaningful in lockstep, so the group gets the sum.
-		gctx, cancel = context.WithTimeout(ctx, o.opts.Timeout*time.Duration(len(run)))
-	}
+	gctx, cancel := c.deadline(ctx, len(run))
 	telemetry.Fanout.GroupsFormed.Add(1)
 	telemetry.Fanout.PointsFanned.Add(int64(len(run)))
 	telemetry.Fanout.DecodePasses.Add(1)
 	telemetry.Fanout.DecodePassesSaved.Add(int64(len(run) - 1))
-	pts := sim.RunFanGroup(gctx, gcfgs, o.opts.StallGrace)
+	pts := sim.RunFanGroup(gctx, gcfgs, c.opts.StallGrace)
 	cancel()
 
 	failed := 0
@@ -236,30 +193,22 @@ func (o *Orchestrator) runFanGroup(ctx context.Context, gi int, g []int, cfgs []
 		if pt.Err != nil {
 			failed++
 			telemetry.Fanout.FallbackPoints.Add(1)
-			o.logf("fan-out group %d: point %d (%s %s p=%g) fell back to sequential: %v",
-				gi, i, cfgs[i].Mode, cfgs[i].Workload, cfgs[i].PInduce, pt.Err)
+			c.logf("fan-out group %d: point %d (%s %s p=%g) fell back to sequential: %v",
+				gi, i, c.cfgs[i].Mode, c.cfgs[i].Workload, c.cfgs[i].PInduce, pt.Err)
 			// Each index belongs to exactly one group, so prior[i] is
-			// written by exactly one goroutine.
-			prior[i]++
+			// written by exactly one task.
+			c.prior[i]++
 			fallback = append(fallback, i)
 			continue
 		}
-		mu.Lock()
-		out.Results[i] = pt.Res
-		out.Ran++
-		mu.Unlock()
-		prog.RunCompleted()
-		if o.opts.OnResult != nil {
-			o.opts.OnResult(i, keys[i], pt.Res, false)
-		}
-		o.journalOne(journal, i, 1, cfgs, keys, pt.Res, out, mu, prog)
+		c.land(i, pt.Res, 1, true)
 		// Fan-group points are full-fidelity — persist them for every
 		// future campaign, after the journal append, and publish them to
 		// any concurrent campaigns waiting on this group's flights.
-		if o.opts.Store != nil {
-			published[keys[i]] = pt.Res
-			if err := o.opts.Store.Put(keys[i], pt.Res); err != nil {
-				o.logf("store: caching fan-out result of run %d failed (campaign unaffected): %v", i, err)
+		if st != nil {
+			published[c.keys[i]] = pt.Res
+			if err := st.Put(c.keys[i], pt.Res); err != nil {
+				c.logf("store: caching fan-out result of run %d failed (campaign unaffected): %v", i, err)
 			}
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,10 +183,54 @@ func TestChaosFanoutWorkerPanic(t *testing.T) {
 	}
 }
 
+// hangDeadline is a context whose deadline passes once the worker.hang
+// fault site has fired, reporting context.DeadlineExceeded exactly as an
+// expired timer would — so the group's stall is detected on the event,
+// not on a wall-clock budget a loaded host can overrun.
+type hangDeadline struct {
+	context.Context
+	done chan struct{}
+	stop chan struct{}
+}
+
+// newHangDeadline arms a hangDeadline under parent. Parent cancellation
+// is not forwarded: the test's campaign context is never canceled.
+func newHangDeadline(parent context.Context) (context.Context, context.CancelFunc) {
+	c := &hangDeadline{Context: parent, done: make(chan struct{}), stop: make(chan struct{})}
+	go func() {
+		t := time.NewTicker(time.Millisecond)
+		defer t.Stop()
+		for fault.Snapshot()[fault.SiteWorkerHang].Fires == 0 {
+			select {
+			case <-t.C:
+			case <-c.stop:
+				return
+			}
+		}
+		close(c.done)
+	}()
+	var once sync.Once
+	return c, func() { once.Do(func() { close(c.stop) }) }
+}
+
+func (c *hangDeadline) Done() <-chan struct{} { return c.done }
+
+func (c *hangDeadline) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
 // TestChaosFanoutWorkerHang wedges one follower before it reaches the
 // barrier: the whole group stalls, the deadline aborts it, the stall
 // watchdog abandons the wedged point, and every point retries cleanly on
-// the per-run pool (where the consumed fault no longer fires).
+// the per-run pool (where the consumed fault no longer fires). The
+// deadline hook expires the group's deadline on the hang itself and
+// gives the per-run fallback attempts none, so no honest attempt can
+// overrun a wall-clock budget on a loaded host.
 func TestChaosFanoutWorkerHang(t *testing.T) {
 	cfgs := []sim.Config{
 		tinyCfg("453.povray", 0.05),
@@ -200,12 +246,22 @@ func TestChaosFanoutWorkerHang(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fault.Disable()
+	o := New(Options{
+		Workers: 1, Fanout: true,
+		Timeout: 200 * time.Millisecond, StallGrace: 200 * time.Millisecond,
+	})
+	// The group asks for the first deadline; the fallback attempts ask
+	// after it has returned.
+	var group atomic.Bool
+	o.withTimeout = func(ctx context.Context, _ time.Duration) (context.Context, context.CancelFunc) {
+		if group.CompareAndSwap(false, true) {
+			return newHangDeadline(ctx)
+		}
+		return context.WithCancel(ctx)
+	}
 	var out *Outcome
 	d := fanoutDelta(func() {
-		out, err = New(Options{
-			Workers: 1, Fanout: true,
-			Timeout: 200 * time.Millisecond, StallGrace: 200 * time.Millisecond,
-		}).RunAll(context.Background(), cfgs)
+		out, err = o.RunAll(context.Background(), cfgs)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,13 @@ package runner
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // drainOrder holds a 1-worker pool's only worker on a gate task while
@@ -295,4 +298,48 @@ func TestPoolQueueCloseSheds(t *testing.T) {
 	close(gate)
 	gw.Wait()
 	gq.Close()
+}
+
+// TestPoolPrivateBoundsWorkers checks a campaign without a shared pool
+// runs on a private pool of Options.Workers: no more than Workers runs
+// are ever in flight at once, and every config is accounted exactly
+// once. Only the upper bound is asserted — how close a run gets to it is
+// up to the scheduler.
+func TestPoolPrivateBoundsWorkers(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var inFlight, peak atomic.Int64
+		o := New(Options{Workers: workers})
+		o.run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+			n := inFlight.Add(1)
+			defer inFlight.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			return &sim.Result{Config: cfg, IPC: 1}, nil
+		}
+		cfgs := make([]sim.Config, 9)
+		for i := range cfgs {
+			cfgs[i] = tinyCfg(fmt.Sprintf("w%d", i), 0.1)
+		}
+		out, err := o.RunAll(context.Background(), cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := peak.Load(); got > int64(workers) {
+			t.Errorf("Workers=%d: %d runs in flight at once", workers, got)
+		}
+		failed := make(map[int]int)
+		for _, f := range out.Failures {
+			failed[f.Index]++
+		}
+		for i := range cfgs {
+			if n := failed[i]; (out.Results[i] != nil) == (n > 0) || n > 1 {
+				t.Errorf("Workers=%d: config %d has result=%v and %d failures, want exactly one of them",
+					workers, i, out.Results[i] != nil, n)
+			}
+		}
+		if out.Ran != len(cfgs) {
+			t.Errorf("Workers=%d: Ran = %d, want %d", workers, out.Ran, len(cfgs))
+		}
+	}
 }

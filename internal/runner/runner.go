@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -39,7 +38,10 @@ import (
 // workers, no per-run deadline, no retries and no journal — equivalent
 // to sim.RunManyContext plus structured failures.
 type Options struct {
-	// Workers caps concurrent simulations; <= 0 means GOMAXPROCS.
+	// Workers sizes the private pool a campaign without Pool runs on;
+	// <= 0 means GOMAXPROCS. Every phase is pool tasks (a sampling
+	// profile, a fan-out group, a per-run attempt chain), so Workers
+	// bounds the tasks in flight and FanMaxGroup bounds a group's size.
 	Workers int
 	// Timeout bounds each run's wall-clock time; 0 disables it. A run
 	// over budget fails with ErrTimeout (and may be retried).
@@ -87,11 +89,13 @@ type Options struct {
 	Streams trace.SourceProvider
 	// Fanout enables one-decode sweep fan-out: pending configs that
 	// share a primary record stream (sim.FanGroupKey) are grouped and
-	// each group runs against a single trace decode (sim.RunFanGroup)
-	// before the per-run worker pool starts. Results are byte-identical
-	// to the sequential path; points that fail inside a group fall back
-	// to it, where the normal retry policy applies. Partial groups from
-	// a resumed journal and singleton groups always run per-run.
+	// each group runs against a single trace decode (sim.RunFanGroup),
+	// one pool task per group, before the per-run phase starts; at most
+	// Workers groups (the shared pool's size under Pool) are in flight
+	// at once. Results are byte-identical to the sequential path;
+	// points that fail inside a group fall back to it, where the normal
+	// retry policy applies. Partial groups from a resumed journal and
+	// singleton groups always run per-run.
 	Fanout bool
 	// FanMaxGroup caps a fan-out group's size; oversized groups are
 	// split into chunks of at most this many points. The campaign
@@ -102,7 +106,7 @@ type Options struct {
 	// just the per-run path).
 	FanMaxGroup int
 	// Sample enables phase-aware representative sampling: before the
-	// per-run pool starts, every distinct sample-eligible
+	// per-run phase starts, every distinct sample-eligible
 	// (workload, budgets, seed) projection among the pending configs
 	// gets one telemetry-only Isolation profile, the profile is
 	// clustered into a phase.Plan (internal/phase), and each member run
@@ -116,10 +120,10 @@ type Options struct {
 	// across resumes of the same journal.
 	Sample bool
 	// Pool, when non-nil, executes the campaign on a shared
-	// multi-campaign worker pool instead of workers owned by this
-	// orchestrator: every run (and every fan-out group) becomes one
-	// task on a weighted queue tagged Tenant/Weight, so concurrent
-	// campaigns interleave under stride fair scheduling and per-tenant
+	// multi-campaign worker pool instead of a private pool of Workers:
+	// the campaign's tasks (runs, fan-out groups, sampling profiles) go
+	// to a weighted queue tagged Tenant/Weight, so concurrent campaigns
+	// interleave under stride fair scheduling and per-tenant
 	// concurrency caps. Workers is ignored in pool mode. Tasks shed by
 	// a draining pool are recorded as ErrCanceled, leaving them pending
 	// in the journal for the next resume.
@@ -256,10 +260,10 @@ type Orchestrator struct {
 	// sleep waits out a backoff delay; tests substitute a fake clock.
 	// nil means a context-aware real sleep.
 	sleep func(ctx context.Context, d time.Duration)
-	// plans, built by runSamplePhase, is parallel to the RunAll input:
-	// a non-nil slot switches that config's attempts to phase-sampled
-	// execution (stripped again on a sampled failure's fallback).
-	plans []*phase.Plan
+	// withTimeout arms a unit of work's deadline (see deadline); tests
+	// substitute it to expire a deadline on an event instead of the
+	// wall clock. nil means context.WithTimeout.
+	withTimeout func(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc)
 }
 
 // New builds an orchestrator.
@@ -269,6 +273,21 @@ func (o *Orchestrator) logf(format string, args ...any) {
 	if o.opts.Logf != nil {
 		o.opts.Logf(format, args...)
 	}
+}
+
+// deadline bounds one unit of work covering runs simulations — a run
+// attempt, a sampling profile, or a fan-out group, which shares one
+// budget because a point's deadline is not meaningful in lockstep — by
+// runs × Options.Timeout. With no Timeout the context is returned as is.
+func (o *Orchestrator) deadline(ctx context.Context, runs int) (context.Context, context.CancelFunc) {
+	if o.opts.Timeout <= 0 {
+		return ctx, func() {}
+	}
+	withTimeout := o.withTimeout
+	if withTimeout == nil {
+		withTimeout = context.WithTimeout
+	}
+	return withTimeout(ctx, o.opts.Timeout*time.Duration(runs))
 }
 
 // PerturbSeed derives the seed for retry attempt n (n >= 1) of a run
@@ -328,47 +347,84 @@ func ctxSleep(ctx context.Context, d time.Duration) {
 	}
 }
 
+// campaign is one RunAll call's state, shared by every pool task the
+// call submits. The index-parallel slices are written only by the task
+// that owns the index; out is guarded by mu.
+type campaign struct {
+	*Orchestrator
+	cfgs []sim.Config
+	keys []string
+	// prior[i] counts failed fan-out in-group attempts for config i, so
+	// a point that dies inside a group re-enters the per-run
+	// retry/backoff ladder at the next rung instead of retrying
+	// immediately.
+	prior []int
+	// plans, filled by the sample phase: a non-nil slot switches that
+	// config's attempts to phase-sampled execution (stripped again on a
+	// sampled failure's fallback).
+	plans   []*phase.Plan
+	out     *Outcome
+	mu      sync.Mutex
+	prog    *telemetry.Progress
+	journal *Journal
+	q       *Queue
+}
+
+// newCampaign hashes cfgs and starts their progress record. Unhashable
+// configs fail up front with ErrBadConfig and keep an empty key.
+func (o *Orchestrator) newCampaign(cfgs []sim.Config) *campaign {
+	c := &campaign{
+		Orchestrator: o,
+		cfgs:         cfgs,
+		keys:         make([]string, len(cfgs)),
+		prior:        make([]int, len(cfgs)),
+		plans:        make([]*phase.Plan, len(cfgs)),
+		out:          &Outcome{Results: make([]*sim.Result, len(cfgs))},
+		prog:         telemetry.NewProgress(len(cfgs), time.Now()),
+	}
+	if o.opts.CampaignID != "" {
+		telemetry.RegisterCampaign(o.opts.CampaignID, c.prog)
+	} else {
+		c.prog.Publish()
+	}
+	for i, cfg := range cfgs {
+		k, err := ConfigKey(cfg)
+		if err != nil {
+			c.fail(&RunError{
+				Index: i, Config: cfg, Attempts: 0,
+				Err: fmt.Errorf("%w: unhashable: %v", sim.ErrBadConfig, err),
+			}, false)
+			continue
+		}
+		c.keys[i] = k
+	}
+	return c
+}
+
 // RunAll executes cfgs under ctx and never aborts on a per-run failure:
 // it always returns an Outcome covering every config. The error return
 // is reserved for campaign-level faults (an unreadable or unwritable
 // journal); per-run failures — including cancellation — are reported in
 // Outcome.Failures so callers can emit completed rows and exit non-zero.
+//
+// Every phase runs as tasks on one pool queue: Options.Pool's when set,
+// otherwise a private pool of Options.Workers closed before returning.
 func (o *Orchestrator) RunAll(ctx context.Context, cfgs []sim.Config) (*Outcome, error) {
-	out := &Outcome{Results: make([]*sim.Result, len(cfgs))}
+	return o.newCampaign(cfgs).runAll(ctx)
+}
 
-	keys := make([]string, len(cfgs))
-	for i, cfg := range cfgs {
-		k, err := ConfigKey(cfg)
-		if err != nil {
-			out.Failures = append(out.Failures, &RunError{
-				Index: i, Config: cfg, Attempts: 0,
-				Err: fmt.Errorf("%w: unhashable: %v", sim.ErrBadConfig, err),
-			})
-			continue
-		}
-		keys[i] = k
-	}
+// runAll is RunAll's body: journal resume, the store phase, the sample
+// or fan phase, then the per-run phase.
+func (c *campaign) runAll(ctx context.Context) (*Outcome, error) {
+	o, cfgs, out, prog, keys := c.Orchestrator, c.cfgs, c.out, c.prog, c.keys
 
-	prog := telemetry.NewProgress(len(cfgs), time.Now())
-	if o.opts.CampaignID != "" {
-		telemetry.RegisterCampaign(o.opts.CampaignID, prog)
-	} else {
-		prog.Publish()
-	}
-	for range out.Failures {
-		prog.RunFailed() // unhashable configs counted up front
-	}
-
-	var journal *Journal
 	if o.opts.Journal != "" {
-		var done map[string]*sim.Result
-		var jst LoadStats
-		var err error
-		journal, done, jst, err = OpenJournal(o.opts.Journal)
+		journal, done, jst, err := OpenJournal(o.opts.Journal)
 		if err != nil {
 			return nil, err
 		}
 		defer journal.Close()
+		c.journal = journal
 		for i := range cfgs {
 			if res, ok := done[keys[i]]; ok && keys[i] != "" {
 				out.Results[i] = res
@@ -405,12 +461,6 @@ func (o *Orchestrator) RunAll(ctx context.Context, cfgs []sim.Config) (*Outcome,
 		}
 	}
 
-	// prior[i] counts failed fan-out in-group attempts for config i, so
-	// a point that dies inside a group re-enters the per-run
-	// retry/backoff ladder at the next rung instead of retrying
-	// immediately.
-	prior := make([]int, len(cfgs))
-
 	// Heartbeats: a ticker goroutine snapshots the live progress and
 	// pushes one line per period through Logf, plus a final line when
 	// the campaign drains.
@@ -431,12 +481,13 @@ func (o *Orchestrator) RunAll(ctx context.Context, cfgs []sim.Config) (*Outcome,
 		}()
 	}
 
-	var mu sync.Mutex
-	var q *Queue
-	if o.opts.Pool != nil {
-		q = o.opts.Pool.NewQueue(o.opts.Tenant, o.opts.Weight)
-		defer q.Close()
+	pool := o.opts.Pool
+	if pool == nil {
+		pool = NewPool(o.opts.Workers)
+		defer pool.Close()
 	}
+	c.q = pool.NewQueue(o.opts.Tenant, o.opts.Weight)
+	defer c.q.Close()
 
 	// Store phase: before any scheduling, satisfy pending configs from
 	// the cross-campaign result store, and pull configs another campaign
@@ -452,16 +503,8 @@ func (o *Orchestrator) RunAll(ctx context.Context, cfgs []sim.Config) (*Outcome,
 		hits := 0
 		for _, i := range pending {
 			if res, ok := st.Get(keys[i]); ok {
-				mu.Lock()
-				out.Results[i] = res
-				out.FromStore++
-				mu.Unlock()
 				hits++
-				prog.RunCompleted()
-				if o.opts.OnResult != nil {
-					o.opts.OnResult(i, keys[i], res, false)
-				}
-				o.journalOne(journal, i, 0, cfgs, keys, res, out, &mu, prog)
+				c.land(i, res, 0, false)
 				continue
 			}
 			if st.InFlight(keys[i]) {
@@ -484,92 +527,39 @@ func (o *Orchestrator) RunAll(ctx context.Context, cfgs []sim.Config) (*Outcome,
 		if o.opts.Fanout {
 			o.logf("sampling and fan-out both requested; sampling wins (fan groups run the full simulator)")
 		}
-		o.runSamplePhase(ctx, cfgs, pending, q)
+		c.runSamplePhase(ctx, pending)
 	} else if o.opts.Fanout && o.run == nil {
 		// Fan-out phase: grouped points run against one shared decode;
 		// whatever it could not place (singletons, partial resume groups,
-		// in-group failures) drains through the per-run pool below. Test
+		// in-group failures) drains through the per-run phase below. Test
 		// harnesses that substitute o.run bypass it — a fan group runs
 		// the real simulator, not the injected stand-in.
-		pending = o.runFanPhase(ctx, cfgs, keys, pending, prior, out, &mu, prog, journal, q)
+		pending = c.runFanPhase(ctx, pending)
 	}
 
 	// Watchers: configs found in flight elsewhere during the store phase
 	// ride on plain goroutines — execOne lands in the store's
 	// single-flight wait (or inherits the finished result, or becomes
 	// the new leader if the other campaign's attempt died) without
-	// occupying a pool slot or one of this campaign's workers.
+	// occupying a pool slot.
 	var watchers sync.WaitGroup
 	for _, i := range watcherIdx {
-		i := i
 		watchers.Add(1)
 		go func() {
 			defer watchers.Done()
-			o.execOne(ctx, i, cfgs, keys, prior, out, &mu, prog, journal)
+			c.execOne(ctx, i)
 		}()
 	}
 
-	if q != nil {
-		// Shared-pool mode: one task per pending config on the
-		// campaign's weighted queue. A task shed by a draining pool is
-		// recorded as ErrCanceled — same accounting as an unscheduled
-		// config below — which leaves it pending in the journal for the
-		// next resume.
-		var wg sync.WaitGroup
-		for _, i := range pending {
-			i := i
-			wg.Add(1)
-			q.Submit(func(shed bool) {
-				defer wg.Done()
-				if shed || ctx.Err() != nil {
-					mu.Lock()
-					out.Failures = append(out.Failures, &RunError{
-						Index: i, Config: cfgs[i], Key: keys[i], Err: sim.ErrCanceled,
-					})
-					mu.Unlock()
-					prog.RunFailed()
-					return
-				}
-				o.execOne(ctx, i, cfgs, keys, prior, out, &mu, prog, journal)
-			})
-		}
-		wg.Wait()
-	} else {
-		workers := o.opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					o.execOne(ctx, i, cfgs, keys, prior, out, &mu, prog, journal)
-				}
-			}()
-		}
-		scheduled := len(pending)
-		for n, i := range pending {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				scheduled = n
-			}
-			if scheduled != len(pending) {
-				break
-			}
-		}
-		close(idx)
-		wg.Wait()
-		for _, i := range pending[scheduled:] {
-			out.Failures = append(out.Failures, &RunError{
-				Index: i, Config: cfgs[i], Key: keys[i], Err: sim.ErrCanceled,
-			})
-			prog.RunFailed()
-		}
-	}
+	// Per-run phase: one task per pending config. A config shed by a
+	// draining pool or left unstarted by cancellation is recorded as
+	// ErrCanceled, which leaves it pending in the journal for the next
+	// resume.
+	c.dispatch(ctx, len(pending), func(k int) {
+		c.execOne(ctx, pending[k])
+	}, func(k int) {
+		c.fail(c.canceled(pending[k]), false)
+	})
 	watchers.Wait()
 	if heartbeatDone != nil {
 		close(heartbeatDone)
@@ -581,96 +571,121 @@ func (o *Orchestrator) RunAll(ctx context.Context, cfgs []sim.Config) (*Outcome,
 	return out, nil
 }
 
-// execOne runs one pending config end to end — retry ladder, result and
-// failure accounting, journal append, result callback — sharing the
-// campaign mutex with every other executor of the same campaign. With a
-// result store configured, full-fidelity attempts run under its
-// single-flight: concurrent identical configs (other campaigns, other
-// tenants) collapse onto one computation, and the computing side
-// persists its result to the store after the journal append, before its
-// flight retires. Sampled attempts bypass the store — approximations are
-// never shared.
-func (o *Orchestrator) execOne(ctx context.Context, i int, cfgs []sim.Config, keys []string,
-	prior []int, out *Outcome, mu *sync.Mutex, prog *telemetry.Progress, journal *Journal) {
-	st := o.opts.Store
-	if o.plans != nil && o.plans[i] != nil {
+// dispatch submits units 0..n-1 as tasks on the campaign's pool queue
+// and waits for every one of them. A unit shed by a draining pool, or
+// dispatched after ctx ended, runs skip instead of do, so each unit is
+// accounted exactly once.
+func (c *campaign) dispatch(ctx context.Context, n int, do, skip func(k int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for k := 0; k < n; k++ {
+		c.q.Submit(func(shed bool) {
+			defer wg.Done()
+			if shed || ctx.Err() != nil {
+				skip(k)
+				return
+			}
+			do(k)
+		})
+	}
+	wg.Wait()
+}
+
+// execOne runs one pending config end to end — retry ladder, then the
+// result or the failure. With a result store configured, full-fidelity
+// attempts run under its single-flight: concurrent identical configs
+// (other campaigns, other tenants) collapse onto one computation, and
+// the computing side persists its result to the store after the journal
+// append, before its flight retires. Sampled attempts bypass the store —
+// approximations are never shared.
+func (c *campaign) execOne(ctx context.Context, i int) {
+	st := c.opts.Store
+	if c.plans[i] != nil {
 		st = nil
 	}
 	var (
 		attempts int
 		rerr     *RunError
 	)
-	// settle lands one completed result: counted, kept, reported and
-	// journaled.
-	settle := func(res *sim.Result, ran bool) {
-		mu.Lock()
-		if ran {
-			out.Ran++
-		} else {
-			out.FromStore++
-		}
-		out.Results[i] = res
-		mu.Unlock()
-		prog.RunCompleted()
-		if o.opts.OnResult != nil {
-			o.opts.OnResult(i, keys[i], res, false)
-		}
-		o.journalOne(journal, i, attempts, cfgs, keys, res, out, mu, prog)
-	}
-	res, via, err := st.Do(ctx, keys[i], func() (*sim.Result, error) {
+	res, via, err := st.Do(ctx, c.keys[i], func() (*sim.Result, error) {
 		var res *sim.Result
-		res, attempts, rerr = o.runOne(ctx, i, cfgs[i], keys[i], prior[i], prog)
+		res, attempts, rerr = c.runOne(ctx, i)
 		if rerr != nil {
 			return nil, rerr.Err
 		}
 		return res, nil
 	}, func(res *sim.Result) {
-		settle(res, true)
+		c.land(i, res, attempts, true)
 		// Persist for every future campaign, after the journal append so
 		// the campaign's own durability is settled first. A failed Put
 		// costs only the cache entry — the run already succeeded.
-		if err := st.Put(keys[i], res); err != nil {
-			o.logf("store: caching result of run %d failed (campaign unaffected): %v", i, err)
+		if err := st.Put(c.keys[i], res); err != nil {
+			c.logf("store: caching result of run %d failed (campaign unaffected): %v", i, err)
 		}
 	})
 	switch {
 	case via == store.ViaCompute && rerr == nil:
-		return // settled by the persist callback
-	case via != store.ViaCompute && err == nil:
-		settle(res, false)
-		return
-	case via != store.ViaCompute:
+		// Landed by the persist callback.
+	case via == store.ViaCompute:
+		c.fail(rerr, true)
+	case err == nil:
+		c.land(i, res, 0, false)
+	default:
 		// Canceled while waiting on another campaign's computation.
-		rerr = &RunError{Index: i, Config: cfgs[i], Key: keys[i], Err: sim.ErrCanceled}
+		c.fail(c.canceled(i), false)
 	}
-	mu.Lock()
-	if via == store.ViaCompute {
-		out.Ran++
-	}
-	out.Failures = append(out.Failures, rerr)
-	mu.Unlock()
-	prog.RunFailed()
 }
 
-// journalOne appends one completed result to the resume journal,
-// recording an append failure as a journal-only RunError: the run
-// itself succeeded and its result is kept in Results[i]; only the
-// checkpoint was lost, and exit-code logic and reports stay truthful.
-func (o *Orchestrator) journalOne(journal *Journal, i, attempts int, cfgs []sim.Config,
-	keys []string, res *sim.Result, out *Outcome, mu *sync.Mutex, prog *telemetry.Progress) {
-	if journal == nil {
+// land records one completed result: counted (in Ran when this campaign
+// computed it, in FromStore otherwise), kept in Results, reported to
+// OnResult and appended to the resume journal. A failed append is
+// recorded as a journal-only RunError: the run itself succeeded and its
+// result is kept; only the checkpoint was lost, and exit-code logic and
+// reports stay truthful.
+func (c *campaign) land(i int, res *sim.Result, attempts int, ran bool) {
+	c.mu.Lock()
+	if ran {
+		c.out.Ran++
+	} else {
+		c.out.FromStore++
+	}
+	c.out.Results[i] = res
+	c.mu.Unlock()
+	c.prog.RunCompleted()
+	if c.opts.OnResult != nil {
+		c.opts.OnResult(i, c.keys[i], res, false)
+	}
+	if c.journal == nil {
 		return
 	}
-	if err := journal.Append(keys[i], res); err != nil {
-		prog.JournalError()
-		mu.Lock()
-		out.Failures = append(out.Failures, &RunError{
-			Index: i, Config: cfgs[i], Key: keys[i],
+	if err := c.journal.Append(c.keys[i], res); err != nil {
+		c.prog.JournalError()
+		c.mu.Lock()
+		c.out.Failures = append(c.out.Failures, &RunError{
+			Index: i, Config: c.cfgs[i], Key: c.keys[i],
 			Attempts: attempts, JournalOnly: true,
 			Err: fmt.Errorf("journaling result: %w", err),
 		})
-		mu.Unlock()
+		c.mu.Unlock()
 	}
+}
+
+// fail records one config's failure; ran counts it in Ran when the
+// campaign spent an execution on it.
+func (c *campaign) fail(re *RunError, ran bool) {
+	c.mu.Lock()
+	if ran {
+		c.out.Ran++
+	}
+	c.out.Failures = append(c.out.Failures, re)
+	c.mu.Unlock()
+	c.prog.RunFailed()
+}
+
+// canceled is the failure of config i that never ran to completion
+// because the campaign was canceled or its pool drained.
+func (c *campaign) canceled(i int) *RunError {
+	return &RunError{Index: i, Config: c.cfgs[i], Key: c.keys[i], Err: sim.ErrCanceled}
 }
 
 // runOne executes one config with the per-run deadline, panic capture
@@ -681,8 +696,9 @@ func (o *Orchestrator) journalOne(journal *Journal, i, attempts int, cfgs []sim.
 // original seed, so a clean fallback stays byte-identical to a
 // sequential run. It returns the total attempt count alongside the
 // result so journal-only failures can carry it.
-func (o *Orchestrator) runOne(ctx context.Context, index int, cfg sim.Config, key string, prior int, prog *telemetry.Progress) (*sim.Result, int, *RunError) {
-	runFn := o.run
+func (c *campaign) runOne(ctx context.Context, index int) (*sim.Result, int, *RunError) {
+	cfg, key, prior, prog := c.cfgs[index], c.keys[index], c.prior[index], c.prog
+	runFn := c.run
 	if runFn == nil {
 		runFn = sim.RunContext
 	}
@@ -691,7 +707,7 @@ func (o *Orchestrator) runOne(ctx context.Context, index int, cfg sim.Config, ke
 		// is recovered by safeCall and an injected wedge is exactly what
 		// the watchdog must convert into a typed failure.
 		inner := runFn
-		runFn = func(ctx context.Context, c sim.Config) (*sim.Result, error) {
+		runFn = func(ctx context.Context, ac sim.Config) (*sim.Result, error) {
 			if fault.Fires(fault.SiteWorkerPanic) {
 				panic(fmt.Sprintf("%v at %s", fault.ErrInjected, fault.SiteWorkerPanic))
 			}
@@ -701,7 +717,7 @@ func (o *Orchestrator) runOne(ctx context.Context, index int, cfg sim.Config, ke
 			if fault.Fires(fault.SiteWorkerHang) {
 				fault.Hang()
 			}
-			return inner(ctx, c)
+			return inner(ctx, ac)
 		}
 	}
 	// plan, when non-nil, runs this config's attempts in phase-sampled
@@ -709,36 +725,32 @@ func (o *Orchestrator) runOne(ctx context.Context, index int, cfg sim.Config, ke
 	// same attempt on the full-ROI path — a free retry with the same
 	// seed, so sampling can degrade the budget saving but never the
 	// campaign's outcome.
-	var plan *phase.Plan
-	if o.plans != nil {
-		plan = o.plans[index]
-	}
+	plan := c.plans[index]
 	start := time.Now()
 	var err error
 	attempts := 0
-	for attempts <= o.opts.Retries {
-		c := cfg
-		c.Seed = PerturbSeed(cfg.Seed, attempts)
-		if c.Streams == nil {
-			c.Streams = o.opts.Streams
+	for attempts <= c.opts.Retries {
+		ac := cfg
+		ac.Seed = PerturbSeed(cfg.Seed, attempts)
+		if ac.Streams == nil {
+			ac.Streams = c.opts.Streams
 		}
-		c.Sample = plan
+		ac.Sample = plan
 		// ladder is this attempt's rung on the retry/backoff ladder:
 		// per-run retries plus any failed in-group fan-out attempt, so
 		// a fallback waits out the same backoff a plain retry would.
 		ladder := prior + attempts
 		if ladder > 0 {
+			prog.Retried()
 			if attempts > 0 {
-				prog.Retried()
-				o.logf("retry %d/%d for run %d (%s %s): %v; perturbed seed %d",
-					attempts, o.opts.Retries, index, cfg.Mode, cfg.Workload, err, c.Seed)
+				c.logf("retry %d/%d for run %d (%s %s): %v; perturbed seed %d",
+					attempts, c.opts.Retries, index, cfg.Mode, cfg.Workload, err, ac.Seed)
 			} else {
-				prog.Retried()
-				o.logf("run %d (%s %s) re-enters the backoff ladder at rung %d after an in-group failure",
+				c.logf("run %d (%s %s) re-enters the backoff ladder at rung %d after an in-group failure",
 					index, cfg.Mode, cfg.Workload, ladder)
 			}
-			if d := backoffDelay(o.opts.Backoff, o.opts.BackoffMax, ladder, cfg.Seed); d > 0 {
-				sleep := o.sleep
+			if d := backoffDelay(c.opts.Backoff, c.opts.BackoffMax, ladder, cfg.Seed); d > 0 {
+				sleep := c.sleep
 				if sleep == nil {
 					sleep = ctxSleep
 				}
@@ -751,13 +763,9 @@ func (o *Orchestrator) runOne(ctx context.Context, index int, cfg sim.Config, ke
 		}
 		attempts++
 
-		rctx := ctx
-		cancel := func() {}
-		if o.opts.Timeout > 0 {
-			rctx, cancel = context.WithTimeout(ctx, o.opts.Timeout)
-		}
+		rctx, cancel := c.deadline(ctx, 1)
 		var res *sim.Result
-		res, err = o.guardedCall(runFn, rctx, c)
+		res, err = c.guardedCall(runFn, rctx, ac)
 		cancel()
 		if err == nil {
 			return res, prior + attempts, nil
@@ -774,7 +782,7 @@ func (o *Orchestrator) runOne(ctx context.Context, index int, cfg sim.Config, ke
 			// the plan and repeat this attempt on the full-ROI path
 			// without consuming retry budget.
 			telemetry.Phase.SampledFallbacks.Add(1)
-			o.logf("run %d (%s %s p=%g): sampled attempt failed (%v); falling back to the full-ROI path",
+			c.logf("run %d (%s %s p=%g): sampled attempt failed (%v); falling back to the full-ROI path",
 				index, cfg.Mode, cfg.Workload, cfg.PInduce, err)
 			plan = nil
 			attempts--

@@ -2,14 +2,13 @@ package runner
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/phase"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-// Sample phase: before the per-run execution starts, the orchestrator
+// Sample phase: before the per-run phase starts, the orchestrator
 // runs one cheap telemetry-only profile per distinct (workload, budgets,
 // seed) among the sample-eligible pending configs, clusters each profile
 // into a phase.Plan, and stamps the plan onto every member — so a
@@ -49,24 +48,24 @@ func profileConfig(cfg sim.Config) sim.Config {
 	return p
 }
 
-// runSamplePhase builds o.plans — one *phase.Plan slot per config, nil
-// where the config runs the full-ROI path. Profiles run concurrently
-// under the campaign's worker budget (or as one shared-pool task each in
-// pool mode, so profiling competes fairly with other tenants); each
-// failure is logged and counted, and leaves its members unsampled.
-func (o *Orchestrator) runSamplePhase(ctx context.Context, cfgs []sim.Config, pending []int, q *Queue) {
-	o.plans = make([]*phase.Plan, len(cfgs))
-
+// runSamplePhase fills c.plans: one *phase.Plan slot per config, nil
+// where the config runs the full-ROI path. Each profile is one pool task
+// on the campaign's queue, so Options.Workers (or the shared pool's
+// size) bounds how many run at once and profiling competes fairly with
+// other tenants' work; each failure is logged and counted, and leaves
+// its members unsampled, as does a profile that never started because
+// the campaign was canceled or its pool drained.
+func (c *campaign) runSamplePhase(ctx context.Context, pending []int) {
 	type group struct {
 		profile sim.Config
 		members []int
 	}
 	byKey := make(map[string]*group)
-	var order []string
+	var groups []*group
 	for _, i := range pending {
-		cfg := cfgs[i]
+		cfg := c.cfgs[i]
 		if cfg.Streams == nil {
-			cfg.Streams = o.opts.Streams
+			cfg.Streams = c.opts.Streams
 		}
 		if !sim.SampleEligible(cfg) {
 			continue
@@ -80,67 +79,22 @@ func (o *Orchestrator) runSamplePhase(ctx context.Context, cfgs []sim.Config, pe
 		if !ok {
 			g = &group{profile: p}
 			byKey[k] = g
-			order = append(order, k)
+			groups = append(groups, g)
 		}
 		g.members = append(g.members, i)
 	}
-	if len(order) == 0 {
-		return
-	}
-
-	if q != nil {
-		var wg sync.WaitGroup
-		for _, k := range order {
-			g := byKey[k]
-			wg.Add(1)
-			q.Submit(func(shed bool) {
-				defer wg.Done()
-				if shed || ctx.Err() != nil {
-					return // unprofiled members stay on the full path
-				}
-				o.runProfile(ctx, g.profile, g.members)
-			})
-		}
-		wg.Wait()
-		return
-	}
-
-	workers := o.opts.Workers
-	if workers <= 0 || workers > len(order) {
-		workers = len(order)
-	}
-	var wg sync.WaitGroup
-	keysCh := make(chan string)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range keysCh {
-				o.runProfile(ctx, byKey[k].profile, byKey[k].members)
-			}
-		}()
-	}
-	for _, k := range order {
-		if ctx.Err() != nil {
-			break // unprofiled members stay on the full path
-		}
-		keysCh <- k
-	}
-	close(keysCh)
-	wg.Wait()
+	c.dispatch(ctx, len(groups), func(k int) {
+		c.runProfile(ctx, groups[k].profile, groups[k].members)
+	}, func(int) {})
 }
 
 // runProfile executes one telemetry-only profile, clusters it, and
 // stamps the resulting plan on every member index. Any failure —
 // simulation error, panic, or a series too short to cluster — leaves
 // the members on the full-ROI path.
-func (o *Orchestrator) runProfile(ctx context.Context, profile sim.Config, members []int) {
+func (c *campaign) runProfile(ctx context.Context, profile sim.Config, members []int) {
 	telemetry.Phase.ProfileRuns.Add(1)
-	rctx := ctx
-	cancel := func() {}
-	if o.opts.Timeout > 0 {
-		rctx, cancel = context.WithTimeout(ctx, o.opts.Timeout)
-	}
+	rctx, cancel := c.deadline(ctx, 1)
 	res, err := safeCall(sim.RunContext, rctx, profile)
 	cancel()
 	var plan *phase.Plan
@@ -149,15 +103,15 @@ func (o *Orchestrator) runProfile(ctx context.Context, profile sim.Config, membe
 	}
 	if err != nil {
 		telemetry.Phase.ProfileFailures.Add(1)
-		o.logf("sampling profile for %s (seed %d) failed; %d run(s) stay on the full-ROI path: %v",
+		c.logf("sampling profile for %s (seed %d) failed; %d run(s) stay on the full-ROI path: %v",
 			profile.Workload, profile.Seed, len(members), err)
 		return
 	}
 	telemetry.Phase.PlansBuilt.Add(1)
 	telemetry.Phase.PhasesFound.Add(int64(plan.Phases))
-	o.logf("sampling plan for %s (seed %d): %s — %d run(s)",
+	c.logf("sampling plan for %s (seed %d): %s — %d run(s)",
 		profile.Workload, profile.Seed, plan, len(members))
 	for _, i := range members {
-		o.plans[i] = plan
+		c.plans[i] = plan
 	}
 }

@@ -136,13 +136,14 @@ func TestChaosSampledPlanFallsBackToFullRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := New(Options{Workers: 1}) // Retries: 0 — the fallback must be free
-	o.plans = []*phase.Plan{{
+	c := o.newCampaign([]sim.Config{cfg})
+	c.plans[0] = &phase.Plan{
 		Phases: 1, Intervals: 1,
 		Windows: []phase.Window{{Start: 0, End: 0, CoverInstrs: 0}},
-	}}
+	}
 	var out *Outcome
 	d := phaseDelta(func() {
-		out, err = o.RunAll(context.Background(), []sim.Config{cfg})
+		out, err = c.runAll(context.Background())
 	})
 	if err != nil || len(out.Failures) != 0 {
 		t.Fatalf("campaign: err=%v failures=%v", err, out.Failures)
