@@ -120,7 +120,7 @@ store-check:
 # full measurement.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' \
-		. ./internal/cache ./internal/trace ./internal/rng ./internal/replay
+		. ./internal/cache ./internal/core ./internal/trace ./internal/rng ./internal/replay
 
 # Full benchmark run, archived as a perf-trajectory entry. Raw output
 # streams to the terminal; the parsed results land in $(BENCHOUT). When
@@ -129,7 +129,7 @@ bench-smoke:
 # BENCHTOL.
 bench:
 	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) \
-		-run '^$$' . ./internal/cache ./internal/trace ./internal/rng ./internal/replay | \
+		-run '^$$' . ./internal/cache ./internal/core ./internal/trace ./internal/rng ./internal/replay | \
 		$(GO) run ./cmd/benchjson -out $(BENCHOUT) \
 		-commit $$(git rev-parse --short HEAD 2>/dev/null || echo unknown) \
 		$(if $(BENCHBASE),-baseline $(BENCHBASE) -tolerance $(BENCHTOL))

@@ -28,10 +28,10 @@ func (c *Cache) BlockOwner(set, way int) int {
 	return int(c.blocks[set*c.ways+way].Owner)
 }
 
-// AtStackEnd reports whether (set, way) sits at the eviction end of the
-// replacement stack (PInTE BLOCK-SELECT).
-func (c *Cache) AtStackEnd(set, way int) bool {
-	return c.policy.AtStackEnd(set, way)
+// StackEnd returns the lowest-indexed way of set at the eviction end of
+// the replacement stack, or -1 if there is none (PInTE BLOCK-SELECT).
+func (c *Cache) StackEnd(set int) int {
+	return c.policy.StackEnd(set)
 }
 
 // PromoteBlock moves (set, way) to the most-recently-used end of the

@@ -27,7 +27,8 @@ const (
 	StateGenProbability
 	// StateGenEvictCnt draws Blocks_evict in [0, associativity].
 	StateGenEvictCnt
-	// StateBlockSelect scans ways for a block at the stack's eviction end.
+	// StateBlockSelect walks the ways, lowest first, to the first block
+	// at the stack's eviction end.
 	StateBlockSelect
 	// StatePromote moves the selected block to the MRU end, as if the
 	// system had inserted a block of its own.
@@ -196,17 +197,28 @@ func (e *Engine) OnLLCAccess(c *cache.Cache, set, requester int) {
 			state = StateBlockSelect
 
 		case StateBlockSelect:
-			if c.AtStackEnd(set, w) {
-				state = StatePromote
-				break
+			// One policy query answers the whole walk: the lowest
+			// way at the stack end, or -1 when the walk exhausts the
+			// set. The walk's remaining per-way visits are counted
+			// and traced (way 0's was above) so the accounting
+			// matches a literal way-by-way scan.
+			end := c.StackEnd(set)
+			last := end
+			if end < 0 {
+				last = ways - 1
 			}
-			w++
-			if w >= ways {
-				// Set exhausted.
+			e.Stats.StateVisits[StateBlockSelect] += uint64(last)
+			if e.Trace != nil {
+				for v := 1; v <= last; v++ {
+					e.Trace(Event{State: StateBlockSelect, Set: set, Way: v})
+				}
+			}
+			if end < 0 {
 				state = StateExit
 				break
 			}
-			// Re-enter BLOCK-SELECT with the next way.
+			w = end
+			state = StatePromote
 
 		case StatePromote:
 			c.PromoteBlock(set, w)
@@ -228,14 +240,14 @@ func (e *Engine) OnLLCAccess(c *cache.Cache, set, requester int) {
 				state = StateExit
 				break
 			}
-			// Restart the scan: the promotion moved the stack end,
+			// Restart the walk: the promotion moved the stack end,
 			// and for policies without a total order (pLRU's tree
 			// pointer, RRIP's RRPV classes) the new victim may sit
-			// at a lower way index than the scan pointer. Continuing
+			// at a lower way index than the last one. Continuing
 			// from w would silently drop most of the eviction budget
 			// — GEN-EVICT-CNT drew "the number of contention events
 			// to induce" (§IV-C), so each budget unit gets a fresh
-			// BLOCK-SELECT walk.
+			// BLOCK-SELECT walk from way 0.
 			w = 0
 			state = StateBlockSelect
 		}

@@ -53,23 +53,14 @@ func (p *LRU) Victim(set int) int {
 	return best
 }
 
-// AtStackEnd implements Policy: true for the oldest way. Touched ways
-// have unique ages (the clock is monotonic), so a strict compare excludes
-// way itself and ties between never-touched (age 0) ways resolve the same
-// as an explicit self-skip would.
-func (p *LRU) AtStackEnd(set, way int) bool {
-	base := set * p.ways
-	a := p.age[base+way]
-	for _, x := range p.age[base : base+p.ways] {
-		if x < a {
-			return false
-		}
-	}
-	return true
-}
+// StackEnd implements Policy: the oldest way, which is the victim.
+// Victim's strict compare keeps the first of equally old ways, so
+// never-touched (age 0) ways resolve to the lowest index; touched ways
+// have unique ages (the clock is monotonic).
+func (p *LRU) StackEnd(set int) int { return p.Victim(set) }
 
 // HitPosition implements Policy: the number of ways younger than way. The
-// strict compare never counts way itself (see AtStackEnd).
+// strict compare never counts way itself.
 func (p *LRU) HitPosition(set, way int) int {
 	base := set * p.ways
 	a := p.age[base+way]

@@ -62,9 +62,18 @@ func (p *NMRU) Victim(set int) int {
 	return w
 }
 
-// AtStackEnd implements Policy: every non-MRU block is a victim
-// candidate, so PInTE may inject on any of them.
-func (p *NMRU) AtStackEnd(set, way int) bool { return int(p.mru[set]) != way }
+// StackEnd implements Policy: every non-MRU block is a victim candidate,
+// so PInTE may inject on any of them; the lowest is way 0 unless way 0 is
+// the MRU block, and a 1-way set whose only block is MRU has none.
+func (p *NMRU) StackEnd(set int) int {
+	if p.mru[set] != 0 {
+		return 0
+	}
+	if p.ways > 1 {
+		return 1
+	}
+	return -1
+}
 
 // HitPosition implements Policy. nMRU orders only {MRU, everything else};
 // non-MRU hits report the middle of the stack as their position.

@@ -93,8 +93,8 @@ func (p *PLRU) Victim(set int) int {
 	return node - p.ways
 }
 
-// AtStackEnd implements Policy: way is the tree's current victim.
-func (p *PLRU) AtStackEnd(set, way int) bool { return p.Victim(set) == way }
+// StackEnd implements Policy: the tree's current victim.
+func (p *PLRU) StackEnd(set int) int { return p.Victim(set) }
 
 // HitPosition implements Policy. pLRU has no total order; the
 // approximation treats each tree level's bit as one binary digit of the

@@ -29,11 +29,12 @@ type Policy interface {
 	// Victim selects the way to evict from a full set.
 	Victim(set int) int
 
-	// AtStackEnd reports whether way currently sits at the eviction end
-	// of set's replacement stack — i.e. whether it is the block the
-	// policy would victimise next. PInTE's BLOCK-SELECT state uses
-	// this to find injection targets.
-	AtStackEnd(set, way int) bool
+	// StackEnd returns the lowest-indexed way that currently sits at
+	// the eviction end of set's replacement stack — a block the policy
+	// would victimise next — or -1 if no way does. It never changes
+	// policy state. PInTE's BLOCK-SELECT state uses it to find
+	// injection targets, one call per unit of eviction budget.
+	StackEnd(set int) int
 
 	// Promote moves way to the most-recently-used end of the stack, as
 	// if it had just been inserted. PInTE's PROMOTE state uses this to

@@ -1,6 +1,7 @@
 package replacement
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -51,9 +52,124 @@ func TestVictimInRange(t *testing.T) {
 	}
 }
 
+// refAtStackEnd is the reference stack-end predicate, read straight off
+// each policy's state: whether way is a block the policy would victimise
+// next. StackEnd must return the lowest way it accepts.
+func refAtStackEnd(p Policy, set, way int) bool {
+	switch p := p.(type) {
+	case *LRU:
+		// The oldest way. Touched ways have unique ages, so a strict
+		// compare excludes way itself, and ties between never-touched
+		// (age 0) ways all pass.
+		base := set * p.ways
+		a := p.age[base+way]
+		for _, x := range p.age[base : base+p.ways] {
+			if x < a {
+				return false
+			}
+		}
+		return true
+	case *PLRU:
+		return p.Victim(set) == way
+	case *NMRU:
+		// Every non-MRU block is a victim candidate.
+		return int(p.mru[set]) != way
+	case *RRIP:
+		// way holds the set's maximum RRPV.
+		base := set * p.ways
+		v := p.rrpv[base+way]
+		for w := 0; w < p.ways; w++ {
+			if p.rrpv[base+w] > v {
+				return false
+			}
+		}
+		return true
+	}
+	panic(fmt.Sprintf("refAtStackEnd: no reference for %T", p))
+}
+
+// refStackEnd is the way-by-way walk StackEnd replaces: the first way
+// refAtStackEnd accepts, or -1.
+func refStackEnd(p Policy, set, ways int) int {
+	for w := 0; w < ways; w++ {
+		if refAtStackEnd(p, set, w) {
+			return w
+		}
+	}
+	return -1
+}
+
+// TestStackEndMatchesReference drives random OnFill/OnHit/Promote/
+// OnInvalidate/Victim sequences through every policy at every
+// associativity it supports and checks, after each step, that StackEnd
+// agrees with the reference walk and leaves the policy's state alone.
+func TestStackEndMatchesReference(t *testing.T) {
+	const sets = 4
+	for _, name := range Names() {
+		for _, ways := range []int{1, 2, 4, 8, 16} {
+			if name == "plru" && ways == 1 {
+				continue // pLRU needs a tree: 2..32 ways
+			}
+			p := newPolicy(t, name, sets, ways)
+			rng := rand.New(rand.NewPCG(uint64(ways), 17))
+			for i := 0; i < 4_000; i++ {
+				set, way := rng.IntN(sets), rng.IntN(ways)
+				switch rng.IntN(5) {
+				case 0:
+					p.OnFill(set, way)
+				case 1:
+					p.OnHit(set, way)
+				case 2:
+					p.Promote(set, way)
+				case 3:
+					p.OnInvalidate(set, way)
+				case 4:
+					p.Victim(set)
+				}
+				before := fmt.Sprintf("%+v", p)
+				got := p.StackEnd(set)
+				if want := refStackEnd(p, set, ways); got != want {
+					t.Fatalf("%s/%d ways, op %d: StackEnd(%d) = %d, reference walk %d",
+						name, ways, i, set, got, want)
+				}
+				if after := fmt.Sprintf("%+v", p); after != before {
+					t.Fatalf("%s/%d ways, op %d: StackEnd changed policy state", name, ways, i)
+				}
+			}
+		}
+	}
+}
+
+// TestNMRUStackEndEdges: nMRU's stack end with no MRU block (fresh or
+// invalidated) is way 0; with way 0 as MRU it is way 1, and a 1-way set
+// whose only block is MRU has none.
+func TestNMRUStackEndEdges(t *testing.T) {
+	p := newPolicy(t, "nmru", 1, 1)
+	if got := p.StackEnd(0); got != 0 || refStackEnd(p, 0, 1) != 0 {
+		t.Fatalf("1-way nMRU with mru -1: StackEnd = %d, want 0", got)
+	}
+	p.OnFill(0, 0)
+	if got := p.StackEnd(0); got != -1 || refStackEnd(p, 0, 1) != -1 {
+		t.Fatalf("1-way nMRU with mru 0: StackEnd = %d, want -1", got)
+	}
+	p = newPolicy(t, "nmru", 1, 4)
+	if got := p.StackEnd(0); got != 0 {
+		t.Fatalf("4-way nMRU with mru -1: StackEnd = %d, want 0", got)
+	}
+	p.OnHit(0, 0)
+	if got := p.StackEnd(0); got != 1 {
+		t.Fatalf("4-way nMRU with mru 0: StackEnd = %d, want 1", got)
+	}
+	p.OnHit(0, 3)
+	if got := p.StackEnd(0); got != 0 {
+		t.Fatalf("4-way nMRU with mru 3: StackEnd = %d, want 0", got)
+	}
+}
+
 // TestStackEndExists: after arbitrary activity, at least one way is at
 // the stack end (PInTE's BLOCK-SELECT must be able to find a target),
-// and the victim is always at the stack end.
+// and the victim is always at the stack end — for the policies with a
+// deterministic victim, it is exactly StackEnd's way.
 func TestStackEndExists(t *testing.T) {
 	for _, name := range Names() {
 		p := newPolicy(t, name, 8, 8)
@@ -65,21 +181,18 @@ func TestStackEndExists(t *testing.T) {
 			} else {
 				p.OnHit(set, rng.IntN(8))
 			}
-			found := false
-			for w := 0; w < 8; w++ {
-				if p.AtStackEnd(set, w) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("%s: no way at stack end after op %d", name, i)
+			if end := p.StackEnd(set); end < 0 || end >= 8 || !refAtStackEnd(p, set, end) {
+				t.Fatalf("%s: no way at stack end after op %d (StackEnd %d)", name, i, end)
 			}
 			if name == "nmru" {
 				continue // nMRU victims are random among non-MRU
 			}
-			if v := p.Victim(set); !p.AtStackEnd(set, v) {
+			v := p.Victim(set)
+			if !refAtStackEnd(p, set, v) {
 				t.Fatalf("%s: victim %d not at stack end", name, v)
+			}
+			if end := p.StackEnd(set); end != v {
+				t.Fatalf("%s: victim %d but StackEnd %d", name, v, end)
 			}
 		}
 	}
@@ -95,8 +208,11 @@ func TestPromoteRemovesFromStackEnd(t *testing.T) {
 		}
 		v := p.Victim(0)
 		p.Promote(0, v)
-		if p.AtStackEnd(0, v) {
+		if refAtStackEnd(p, 0, v) {
 			t.Errorf("%s: way %d still at stack end after Promote", name, v)
+		}
+		if end := p.StackEnd(0); end == v {
+			t.Errorf("%s: StackEnd still %d after Promote", name, v)
 		}
 	}
 }
@@ -196,7 +312,7 @@ func TestNMRUNeverEvictsMRU(t *testing.T) {
 		if v := p.Victim(0); v == w {
 			t.Fatalf("nMRU victimised the MRU way %d", w)
 		}
-		if p.AtStackEnd(0, w) {
+		if refAtStackEnd(p, 0, w) || p.StackEnd(0) == w {
 			t.Fatal("MRU way reported at stack end")
 		}
 	}
@@ -218,8 +334,11 @@ func TestNMRUInvalidateClearsProtection(t *testing.T) {
 	p := newPolicy(t, "nmru", 1, 4)
 	p.OnHit(0, 2)
 	p.OnInvalidate(0, 2)
-	if !p.AtStackEnd(0, 2) {
+	if !refAtStackEnd(p, 0, 2) {
 		t.Fatal("invalidated MRU still protected")
+	}
+	if end := p.StackEnd(0); end != 0 {
+		t.Fatalf("StackEnd = %d with no MRU block, want 0", end)
 	}
 }
 
@@ -230,12 +349,15 @@ func TestRRIPInsertionAndPromotion(t *testing.T) {
 	}
 	// All at RRPV 2 — every way is a stack-end candidate.
 	for w := 0; w < 4; w++ {
-		if !p.AtStackEnd(0, w) {
+		if !refAtStackEnd(p, 0, w) {
 			t.Fatalf("way %d should be at stack end after fill", w)
 		}
 	}
+	if end := p.StackEnd(0); end != 0 {
+		t.Fatalf("StackEnd = %d with every way at RRPV 2, want 0", end)
+	}
 	p.OnHit(0, 1) // way 1 → RRPV 0
-	if p.AtStackEnd(0, 1) {
+	if refAtStackEnd(p, 0, 1) {
 		t.Fatal("hit way still at stack end")
 	}
 	v := p.Victim(0)
@@ -245,6 +367,14 @@ func TestRRIPInsertionAndPromotion(t *testing.T) {
 	// Victim search ages the set until some way reaches RRPV 3.
 	if pos := p.HitPosition(0, v); pos != 3 {
 		t.Errorf("victim hit position %d, want 3 (scaled RRPV max)", pos)
+	}
+	// RRPVs are now 3, 1, 3, 3.
+	if end := p.StackEnd(0); end != v {
+		t.Fatalf("StackEnd = %d after ageing, want the victim %d", end, v)
+	}
+	p.OnHit(0, v) // the first stack-end way moves past it
+	if end := p.StackEnd(0); end != 2 {
+		t.Fatalf("StackEnd = %d, want 2", end)
 	}
 }
 

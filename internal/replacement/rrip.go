@@ -56,17 +56,21 @@ func (p *RRIP) Victim(set int) int {
 	}
 }
 
-// AtStackEnd implements Policy: way holds the set's maximum RRPV (it is a
-// victim candidate without further ageing).
-func (p *RRIP) AtStackEnd(set, way int) bool {
+// StackEnd implements Policy: the first way holding the set's maximum
+// RRPV (a victim candidate without further ageing). Unlike Victim it
+// does not age the set.
+func (p *RRIP) StackEnd(set int) int {
 	base := set * p.ways
-	v := p.rrpv[base+way]
-	for w := 0; w < p.ways; w++ {
-		if p.rrpv[base+w] > v {
-			return false
+	best, max := 0, uint8(0)
+	for w, v := range p.rrpv[base : base+p.ways] {
+		if v > max {
+			best, max = w, v
+			if v == rrpvMax {
+				break // nothing ranks above the distant RRPV
+			}
 		}
 	}
-	return true
+	return best
 }
 
 // HitPosition implements Policy: RRPV scaled onto the stack range.

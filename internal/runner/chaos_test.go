@@ -217,6 +217,11 @@ func TestChaosInjectionMatrix(t *testing.T) {
 // TestWatchdogConvertsHangToStalled checks the stuck-run watchdog
 // abandons a worker that ignores its expired context, surfaces a
 // retryable sim.ErrStalled, counts it, and lets a retry succeed.
+//
+// The deadline hook expires the wedged first attempt's context at once
+// (context.DeadlineExceeded, as a real timer would) and gives later
+// attempts no deadline, so the honest retry cannot overrun a wall-clock
+// budget on a loaded host.
 func TestWatchdogConvertsHangToStalled(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
@@ -227,6 +232,7 @@ func TestWatchdogConvertsHangToStalled(t *testing.T) {
 		Workers: 1, Timeout: 30 * time.Millisecond,
 		StallGrace: 30 * time.Millisecond, Retries: 1,
 	})
+	o.withTimeout = expireFirstDeadline()
 	o.run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 		if attempts.Add(1) == 1 {
 			<-release // wedged: ignores ctx entirely
@@ -251,6 +257,7 @@ func TestWatchdogConvertsHangToStalled(t *testing.T) {
 	release2 := make(chan struct{})
 	defer close(release2)
 	o2 := New(Options{Workers: 1, Timeout: 20 * time.Millisecond, StallGrace: 20 * time.Millisecond})
+	o2.withTimeout = expireFirstDeadline()
 	o2.run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 		<-release2
 		return nil, nil
@@ -261,6 +268,19 @@ func TestWatchdogConvertsHangToStalled(t *testing.T) {
 	}
 	if len(out2.Failures) != 1 || !errors.Is(out2.Failures[0].Err, sim.ErrStalled) {
 		t.Fatalf("failures = %v, want one sim.ErrStalled", out2.Failures)
+	}
+}
+
+// expireFirstDeadline is a deadline hook whose first deadline has
+// already passed (the context is done with context.DeadlineExceeded) and
+// whose later ones never fire.
+func expireFirstDeadline() func(context.Context, time.Duration) (context.Context, context.CancelFunc) {
+	var armed atomic.Bool
+	return func(ctx context.Context, _ time.Duration) (context.Context, context.CancelFunc) {
+		if armed.CompareAndSwap(false, true) {
+			return context.WithDeadline(ctx, time.Time{})
+		}
+		return context.WithCancel(ctx)
 	}
 }
 
