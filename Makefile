@@ -61,7 +61,8 @@ chaos:
 # Stress gate: the single-flight, crash-recovery and journal-load tests
 # plus the dispatch-sensitive ones (pool scheduling, fan-out groups and
 # their chaos panic/hang paths, the stall watchdog, cancellation, the
-# fan barrier) twenty times over on two procs, race-enabled, so a
+# fan barrier, the sim fan executors' goroutine start-up and abort
+# paths) twenty times over on two procs, race-enabled, so a
 # scheduling-dependent failure shows up here rather than as a flaky
 # `test`.
 stress:
@@ -70,6 +71,9 @@ stress:
 		./internal/store ./internal/runner
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestFanBarrier|TestFanAbort' \
 		./internal/replay
+	GOMAXPROCS=2 $(GO) test -race -count=20 \
+		-run 'TestFanoutCancellation|TestFanoutDigestNoWarmup|TestFanoutMixedKeysRejected' \
+		./internal/sim
 
 # Service smoke gate, race-enabled: the pinted lifecycle/admission/
 # fairness/drain suite, including two concurrent tiny campaigns from

@@ -256,6 +256,25 @@ func Hang() {
 	}
 }
 
+// InjectWorker fires the worker-execution sites in order at the start
+// of a run: worker.panic panics, worker.slow stalls for its Delay, and
+// worker.hang blocks until Disable. Every executor calls it, so a chaos
+// schedule strikes a per-run attempt and a fan-out point alike.
+func InjectWorker() {
+	if !enabled.Load() {
+		return
+	}
+	if Fires(SiteWorkerPanic) {
+		panic(fmt.Sprintf("%v at %s", ErrInjected, SiteWorkerPanic))
+	}
+	if d := Delay(SiteWorkerSlow); d > 0 {
+		time.Sleep(d)
+	}
+	if Fires(SiteWorkerHang) {
+		Hang()
+	}
+}
+
 // Snapshot returns per-site counters since Enable, keyed by site name.
 func Snapshot() map[string]SiteStats {
 	mu.RLock()

@@ -34,9 +34,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Options tunes an Orchestrator. The zero value runs with GOMAXPROCS
-// workers, no per-run deadline, no retries and no journal — equivalent
-// to sim.RunManyContext plus structured failures.
+// Options tunes an Orchestrator. The zero value runs every config once
+// on a private pool of GOMAXPROCS workers, with no per-run deadline, no
+// retries and no journal; failures come back as structured RunErrors.
 type Options struct {
 	// Workers sizes the private pool a campaign without Pool runs on;
 	// <= 0 means GOMAXPROCS. Every phase is pool tasks (a sampling
@@ -708,15 +708,7 @@ func (c *campaign) runOne(ctx context.Context, index int) (*sim.Result, int, *Ru
 		// the watchdog must convert into a typed failure.
 		inner := runFn
 		runFn = func(ctx context.Context, ac sim.Config) (*sim.Result, error) {
-			if fault.Fires(fault.SiteWorkerPanic) {
-				panic(fmt.Sprintf("%v at %s", fault.ErrInjected, fault.SiteWorkerPanic))
-			}
-			if d := fault.Delay(fault.SiteWorkerSlow); d > 0 {
-				time.Sleep(d)
-			}
-			if fault.Fires(fault.SiteWorkerHang) {
-				fault.Hang()
-			}
+			fault.InjectWorker()
 			return inner(ctx, ac)
 		}
 	}

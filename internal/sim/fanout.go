@@ -39,9 +39,7 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/cache"
-	pinte "repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/replay"
 	"repro/internal/trace"
@@ -156,14 +154,14 @@ func RunFanGroup(ctx context.Context, cfgs []Config, grace time.Duration) []FanP
 	if err != nil {
 		return failAll(pts, err)
 	}
-	streams := norm[0].Streams
-	if streams == nil {
-		streams = trace.Generate{}
-	}
+	// fresh reopens the group's primary stream; the fan falls back to it
+	// when a shared decode cannot continue.
+	streams, seed := norm[0].streams(), primarySeed(norm[0])
+	fresh := func() (trace.Source, error) { return streams.Source(spec, seed, 0) }
 	if digest {
-		runFanDigest(ctx, norm, spec, streams, grace, start, pts)
+		runFanDigest(ctx, norm, spec, fresh, grace, start, pts)
 	} else {
-		runFanLockstep(ctx, norm, spec, streams, grace, start, pts)
+		runFanLockstep(ctx, norm, spec, fresh, grace, pts)
 	}
 	return pts
 }
@@ -232,24 +230,6 @@ func collectFan(ctx context.Context, fan *replay.Fan, ch <-chan fanDone, grace t
 	}
 }
 
-// fanWorkerChaos mirrors the sequential worker's chaos injection sites
-// at fan-point granularity, so `make chaos` exercises a panicking, slow
-// or hung point inside a live group.
-func fanWorkerChaos() {
-	if !fault.Enabled() {
-		return
-	}
-	if fault.Fires(fault.SiteWorkerPanic) {
-		panic(fmt.Sprintf("%v at %s (fan-out)", fault.ErrInjected, fault.SiteWorkerPanic))
-	}
-	if d := fault.Delay(fault.SiteWorkerSlow); d > 0 {
-		time.Sleep(d)
-	}
-	if fault.Fires(fault.SiteWorkerHang) {
-		fault.Hang()
-	}
-}
-
 // ---------------------------------------------------------------------
 // Lockstep executor
 // ---------------------------------------------------------------------
@@ -274,16 +254,14 @@ func (p *fanProvider) Source(spec trace.Spec, seed, base uint64) (trace.Source, 
 // runFanLockstep runs each point as a full simulation over a shared
 // decode. Per-point chaos sites (sim.source, trace.read) fire inside
 // each point's own RunContext, exactly as they do sequentially.
-func runFanLockstep(ctx context.Context, norm []Config, spec trace.Spec, streams trace.SourceProvider, grace time.Duration, start time.Time, pts []FanPoint) {
-	seed := norm[0].Seed + 1
-	src, err := streams.Source(spec, seed, 0)
+func runFanLockstep(ctx context.Context, norm []Config, spec trace.Spec, fresh func() (trace.Source, error), grace time.Duration, pts []FanPoint) {
+	src, err := fresh()
 	if err != nil {
 		failAll(pts, err)
 		return
 	}
-	fresh := func() (trace.Source, error) { return streams.Source(spec, seed, 0) }
 	fan := replay.NewFan(src, len(norm), 0, fresh)
-	fp := spec.Fingerprint()
+	streams, seed, fp := norm[0].streams(), primarySeed(norm[0]), spec.Fingerprint()
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ch := make(chan fanDone, len(norm))
@@ -299,14 +277,13 @@ func runFanLockstep(ctx context.Context, norm []Config, spec trace.Spec, streams
 						res, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
 					}
 				}()
-				fanWorkerChaos()
-				return RunSafe(gctx, cfg)
+				fault.InjectWorker()
+				return RunContext(gctx, cfg)
 			}()
 			ch <- fanDone{i: i, res: res, err: err}
 		}(i, cfg)
 	}
 	collectFan(ctx, fan, ch, grace, pts)
-	_ = start
 }
 
 // ---------------------------------------------------------------------
@@ -417,40 +394,37 @@ func (f *frontFeed) Next(rec *trace.Record) error { return f.fr.feed.Next(rec) }
 // hierarchy, mirroring RunContext's warm-up/ROI structure exactly so the
 // front consumes the same quantum-aligned record count as a sequential
 // run of any group member.
-func (fr *fanFront) run(cfg Config, cpuCfg cpu.Config) error {
-	hcfg := cfg.Hier
-	hcfg.Cores = 1
-	hcfg.Seed = cfg.Seed
-	hier, err := cache.NewHierarchy(hcfg, noMem{})
+func (fr *fanFront) run(cfg Config) error {
+	tap := &mispTap{misp: &fr.misp}
+	m, err := newMachine(cfg, wiring{
+		below: noMem{},
+		feed:  &frontFeed{fr: fr},
+		tap: func(bp branch.Predictor) branch.Predictor {
+			tap.inner = bp
+			return tap
+		},
+	})
 	if err != nil {
 		return err
 	}
-	bp, err := branch.New(cfg.Branch)
-	if err != nil {
-		return err
-	}
-	tap := &mispTap{inner: bp, misp: &fr.misp}
-	core := cpu.NewCore(0, cpuCfg, &frontFeed{fr: fr}, hier, tap)
+	core := m.core0
 	tap.instrs = &core.Instrs
-	if err := hier.SetFrontCapture(fr.cap, &core.Instrs); err != nil {
+	if err := m.hier.SetFrontCapture(fr.cap, &core.Instrs); err != nil {
 		return err
 	}
-	fr.hier = hier
-	sys := cpu.NewSystem(core)
-	sys.RestartFinished = true
+	fr.hier = m.hier
 	if cfg.WarmupInstrs > 0 {
-		err := sys.Run(func(*cpu.Core) bool { return core.Instrs >= cfg.WarmupInstrs })
+		err := m.sys.Run(func(*cpu.Core) bool { return core.Instrs >= cfg.WarmupInstrs })
 		if err != nil {
 			return err
 		}
 		if core.Instrs < cfg.WarmupInstrs {
 			return io.ErrUnexpectedEOF
 		}
-		hier.ResetStats()
-		core.ResetStats()
+		m.resetStats()
 	}
 	roiEnd := core.Instrs + cfg.ROIInstrs
-	if err := sys.Run(func(*cpu.Core) bool { return core.Instrs >= roiEnd }); err != nil {
+	if err := m.sys.Run(func(*cpu.Core) bool { return core.Instrs >= roiEnd }); err != nil {
 		return err
 	}
 	if core.Instrs < roiEnd {
@@ -470,30 +444,18 @@ func (noMem) Access(now, addr uint64, isWrite bool) uint64 {
 
 // runFanDigest runs the digest executor: one front capture pass feeding
 // len(norm) followers.
-func runFanDigest(ctx context.Context, norm []Config, spec trace.Spec, streams trace.SourceProvider, grace time.Duration, start time.Time, pts []FanPoint) {
+//
+// The front drives the group's only decode, so the per-run sim.source
+// and trace.read sites strike the shared stream: a fired fault fails the
+// whole group, which then retries per run.
+func runFanDigest(ctx context.Context, norm []Config, spec trace.Spec, fresh func() (trace.Source, error), grace time.Duration, start time.Time, pts []FanPoint) {
 	n := len(norm)
-	seed := norm[0].Seed + 1
-	src, err := streams.Source(spec, seed, 0)
-	if err == nil {
-		err = fault.Err(fault.SiteSimSource)
-	}
+	src, err := openPrimary(norm[0], spec)
 	if err != nil {
 		failAll(pts, err)
 		return
 	}
-	if fault.Enabled() {
-		// The front drives the group's only decode, so the per-run
-		// trace.read site interposes on the shared stream: a fired fault
-		// fails the whole group, which then retries sequentially.
-		src = &faultSource{src: src}
-	}
-	fresh := func() (trace.Source, error) { return streams.Source(spec, seed, 0) }
 	fan := replay.NewFan(src, n+1, 0, fresh)
-
-	cpuCfg := norm[0].CPU
-	if cpuCfg.MLP == 0 {
-		cpuCfg.MLP = spec.MLP
-	}
 
 	fr := &fanFront{feed: fan.Reader(0), cap: &cache.FrontCapture{}}
 	fr.chans = make([]chan *fanDigest, n)
@@ -520,13 +482,13 @@ func runFanDigest(ctx context.Context, norm []Config, spec trace.Spec, streams t
 				close(ch)
 			}
 		}()
-		ferr = fr.run(norm[0], cpuCfg)
+		ferr = fr.run(norm[0])
 	}()
 
 	ch := make(chan fanDone, n)
 	for i := range norm {
 		go func(i int) {
-			res, err := runFanFollower(norm[i], cpuCfg, fr, fan.Reader(i+1), fr.chans[i], &fr.alive[i], start)
+			res, err := runFanFollower(norm[i], fr, fan.Reader(i+1), fr.chans[i], &fr.alive[i], start)
 			ch <- fanDone{i: i, res: res, err: err}
 		}(i)
 	}
@@ -537,10 +499,9 @@ func runFanDigest(ctx context.Context, norm []Config, spec trace.Spec, streams t
 // point-dependent machine (LLC, DRAM, engine) plus the cpu.Core timing
 // arithmetic replayed over digests.
 type fanFollower struct {
-	cfg    Config
-	hier   *cache.Hierarchy
-	mem    *dram.DRAM
-	engine *pinte.Engine
+	cfg  Config
+	m    *machine
+	hier *cache.Hierarchy // m.hier, kept one load away on the access path
 
 	instrs   uint64
 	cycles   uint64
@@ -561,7 +522,7 @@ type fanFollower struct {
 }
 
 // runFanFollower builds and drives one follower to completion.
-func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanReader, dig <-chan *fanDigest, alive *atomic.Bool, start time.Time) (res *Result, err error) {
+func runFanFollower(cfg Config, fr *fanFront, rd *replay.FanReader, dig <-chan *fanDigest, alive *atomic.Bool, start time.Time) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
@@ -569,42 +530,16 @@ func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanR
 		alive.Store(false)
 		rd.Detach()
 	}()
-	fanWorkerChaos()
+	fault.InjectWorker()
 
-	dcfg := dram.Default()
-	if cfg.DRAM != nil {
-		dcfg = *cfg.DRAM
-	}
-	mem, err := dram.New(dcfg)
+	st := &fanFollower{cfg: cfg}
+	m, err := newMachine(cfg, wiring{clock: &st.cycles})
 	if err != nil {
 		return nil, err
 	}
-	hcfg := cfg.Hier
-	hcfg.Cores = 1
-	hcfg.Seed = cfg.Seed
-	hier, err := cache.NewHierarchy(hcfg, mem)
-	if err != nil {
-		return nil, err
-	}
-	st := &fanFollower{cfg: cfg, hier: hier, mem: mem}
-	var engine *pinte.Engine
-	if cfg.Mode == PInTE {
-		eseed := cfg.EngineSeed
-		if eseed == 0 {
-			eseed = cfg.Seed + 7
-		}
-		engine, err = pinte.NewEngine(pinte.Params{PInduce: cfg.PInduce, Seed: eseed})
-		if err != nil {
-			return nil, err
-		}
-		hier.LLC().SetInjector(engine)
-		hier.LLC().SetWritebackSink(func(addr uint64) {
-			mem.Access(st.cycles, addr, true)
-		})
-	}
-	st.engine = engine
+	st.m, st.hier = m, m.hier
 
-	rc := cpuCfg.Resolved()
+	rc := m.cpu.Resolved()
 	st.width = rc.Width
 	st.penalty = rc.MispredictPenalty
 	st.mlp = uint64(rc.MLP)
@@ -612,9 +547,9 @@ func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanR
 	if mlp := rc.MLP; mlp&(mlp-1) == 0 {
 		st.mlpShift = bits.TrailingZeros(uint(mlp))
 	}
-	st.l1iLat = hier.L1I(0).HitLatency()
-	st.l1dLat = hier.L1D(0).HitLatency()
-	st.l2Lat = hier.L2(0).HitLatency()
+	st.l1iLat = st.hier.L1I(0).HitLatency()
+	st.l1dLat = st.hier.L1D(0).HitLatency()
+	st.l2Lat = st.hier.L2(0).HitLatency()
 
 	if cfg.WarmupInstrs == 0 {
 		st.enterROI()
@@ -644,7 +579,7 @@ func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanR
 
 	res = &Result{Config: cfg, Samples: st.samples}
 	fillResultParts(res, st.instrs-st.roiStartI, st.cycles-st.roiStartC,
-		&st.stats, fr.hier, hier, engine)
+		&st.stats, fr.hier, st.hier, m.engine)
 	res.WallTime = time.Since(start)
 	return res, nil
 }
@@ -652,12 +587,8 @@ func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanR
 // enterROI mirrors RunContext's end-of-warm-up transition: reset event
 // counters (clocks keep running), pin the ROI window, arm the sampler.
 func (st *fanFollower) enterROI() {
-	st.hier.ResetStats()
+	st.m.resetStats()
 	st.stats = cpu.Stats{}
-	st.mem.Stats = dram.Stats{}
-	if st.engine != nil {
-		st.engine.ResetStats()
-	}
 	st.roiStartI, st.roiStartC = st.instrs, st.cycles
 	st.roiEnd = st.instrs + st.cfg.ROIInstrs
 	st.smp = newSampler(st.cfg, &st.instrs, &st.cycles, st.hier)

@@ -6,15 +6,11 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/branch"
 	"repro/internal/cache"
 	pinte "repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/dram"
-	"repro/internal/fault"
 	"repro/internal/phase"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // SampleStats reports how a phase-sampled run spent its budget and how
@@ -172,10 +168,10 @@ func round(f float64) uint64 {
 // instruction stream between the plan's representative windows,
 // simulates each window in detail after a short cache/predictor warmup,
 // and extrapolates full-ROI metrics as the cluster-weighted sum of the
-// window deltas. The machine is set up exactly as RunContext's
-// single-core path (same seeds, same component wiring), so a plan whose
-// one window spans the whole ROI reproduces the full run byte for byte
-// — the equivalence TestSampledFullWindowMatchesRun enforces.
+// window deltas. Its machine comes from newMachine, as RunContext's
+// does, so it is the full run's machine by construction, and a plan
+// whose one window spans the whole ROI reproduces the full run byte for
+// byte — the equivalence TestSampledFullWindowMatchesRun enforces.
 //
 // The config's own WarmupInstrs region is not simulated: each window
 // carries its own detailed warmup (plan.WarmupInstrs), which is what
@@ -186,78 +182,11 @@ func runSampled(ctx context.Context, cfg Config) (*Result, error) {
 	start := time.Now()
 	plan := cfg.Sample
 
-	spec, err := specFor(cfg.Workload, cfg.WorkloadSpec)
+	m, err := newMachine(cfg, wiring{})
 	if err != nil {
 		return nil, err
 	}
-	dcfg := dram.Default()
-	if cfg.DRAM != nil {
-		dcfg = *cfg.DRAM
-	}
-	mem, err := dram.New(dcfg)
-	if err != nil {
-		return nil, err
-	}
-	hcfg := cfg.Hier
-	hcfg.Cores = 1
-	hcfg.Seed = cfg.Seed
-	hier, err := cache.NewHierarchy(hcfg, mem)
-	if err != nil {
-		return nil, err
-	}
-	streams := cfg.Streams
-	if streams == nil {
-		streams = trace.Generate{}
-	}
-	cpuCfg := cfg.CPU
-	if cpuCfg.MLP == 0 {
-		cpuCfg.MLP = spec.MLP
-	}
-	gen0, err := streams.Source(spec, cfg.Seed+1, 0)
-	if err == nil {
-		err = fault.Err(fault.SiteSimSource)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var src trace.Reader = gen0
-	if fault.Enabled() {
-		src = &faultSource{src: gen0}
-	}
-	bp0, err := branch.New(cfg.Branch)
-	if err != nil {
-		return nil, err
-	}
-	core0 := cpu.NewCore(0, cpuCfg, src, hier, bp0)
-	sys := cpu.NewSystem(core0)
-	sys.RestartFinished = true
-
-	var engine *pinte.Engine
-	if cfg.Mode == PInTE {
-		eseed := cfg.EngineSeed
-		if eseed == 0 {
-			eseed = cfg.Seed + 7
-		}
-		engine, err = pinte.NewEngine(pinte.Params{PInduce: cfg.PInduce, Seed: eseed})
-		if err != nil {
-			return nil, err
-		}
-		hier.LLC().SetInjector(engine)
-		hier.LLC().SetWritebackSink(func(addr uint64) {
-			mem.Access(core0.Cycles, addr, true)
-		})
-	}
-
-	var stopErr error
-	interrupted := func() bool {
-		select {
-		case <-ctx.Done():
-			stopErr = ctxError(ctx)
-			return true
-		default:
-			return false
-		}
-	}
+	hier, core0, engine := m.hier, m.core0, m.engine
 
 	// skipped tracks records fast-forwarded past without simulation;
 	// core0.Instrs + skipped is the absolute stream position. Windows
@@ -269,12 +198,7 @@ func runSampled(ctx context.Context, cfg Config) (*Result, error) {
 		if pos() >= target {
 			return nil
 		}
-		if err := sys.Run(func(*cpu.Core) bool {
-			return interrupted() || core0.Instrs+skipped >= target
-		}); err != nil {
-			return err
-		}
-		return stopErr
+		return m.run(ctx, func() bool { return core0.Instrs+skipped >= target })
 	}
 
 	var ext extAcc

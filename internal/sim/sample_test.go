@@ -39,58 +39,66 @@ func TestSampledFullWindowMatchesRun(t *testing.T) {
 		if mode == Isolation {
 			cfg.PInduce = 0
 		}
-		full, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
+		checkSampledMatchesRun(t, cfg)
+	}
+}
+
+// checkSampledMatchesRun runs cfg in full and under a fullWindowPlan and
+// requires the two to agree on every counter the extrapolation carries.
+func checkSampledMatchesRun(t *testing.T, cfg Config) {
+	t.Helper()
+	mode := cfg.Mode
+	full, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := cfg
+	scfg.Sample = fullWindowPlan(cfg)
+	sampled, err := Run(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sampled.Sampled == nil {
+		t.Fatal("sampled run missing SampleStats")
+	}
+	if sampled.Instrs != full.Instrs || sampled.Cycles != full.Cycles {
+		t.Fatalf("%v: instrs/cycles %d/%d, full run %d/%d",
+			mode, sampled.Instrs, sampled.Cycles, full.Instrs, full.Cycles)
+	}
+	type pair struct {
+		name      string
+		got, want float64
+	}
+	pairs := []pair{
+		{"IPC", sampled.IPC, full.IPC},
+		{"MissRate", sampled.MissRate, full.MissRate},
+		{"AMAT", sampled.AMAT, full.AMAT},
+		{"ContentionRate", sampled.ContentionRate, full.ContentionRate},
+		{"BranchAccuracy", sampled.BranchAccuracy, full.BranchAccuracy},
+		{"L2MPKI", sampled.L2MPKI, full.L2MPKI},
+		{"LLCMPKI", sampled.LLCMPKI, full.LLCMPKI},
+		{"L1DMissRate", sampled.L1DMissRate, full.L1DMissRate},
+		{"L2MissRate", sampled.L2MissRate, full.L2MissRate},
+		{"WritebackShare", sampled.LLCWritebackFillShare, full.LLCWritebackFillShare},
+	}
+	for _, p := range pairs {
+		if p.got != p.want {
+			t.Errorf("%v %s = %v, full run %v", mode, p.name, p.got, p.want)
 		}
-		scfg := cfg
-		scfg.Sample = fullWindowPlan(cfg)
-		sampled, err := Run(scfg)
-		if err != nil {
-			t.Fatal(err)
+	}
+	if mode == PInTE {
+		if sampled.Engine == nil || full.Engine == nil {
+			t.Fatalf("%v: missing engine stats", mode)
 		}
-		if sampled.Sampled == nil {
-			t.Fatal("sampled run missing SampleStats")
+		if sampled.Engine.Accesses != full.Engine.Accesses ||
+			sampled.Engine.Triggers != full.Engine.Triggers {
+			t.Errorf("%v engine = %d/%d, full %d/%d", mode,
+				sampled.Engine.Accesses, sampled.Engine.Triggers,
+				full.Engine.Accesses, full.Engine.Triggers)
 		}
-		if sampled.Instrs != full.Instrs || sampled.Cycles != full.Cycles {
-			t.Fatalf("%v: instrs/cycles %d/%d, full run %d/%d",
-				mode, sampled.Instrs, sampled.Cycles, full.Instrs, full.Cycles)
-		}
-		type pair struct {
-			name      string
-			got, want float64
-		}
-		pairs := []pair{
-			{"IPC", sampled.IPC, full.IPC},
-			{"MissRate", sampled.MissRate, full.MissRate},
-			{"AMAT", sampled.AMAT, full.AMAT},
-			{"ContentionRate", sampled.ContentionRate, full.ContentionRate},
-			{"BranchAccuracy", sampled.BranchAccuracy, full.BranchAccuracy},
-			{"L2MPKI", sampled.L2MPKI, full.L2MPKI},
-			{"LLCMPKI", sampled.LLCMPKI, full.LLCMPKI},
-			{"L1DMissRate", sampled.L1DMissRate, full.L1DMissRate},
-			{"L2MissRate", sampled.L2MissRate, full.L2MissRate},
-			{"WritebackShare", sampled.LLCWritebackFillShare, full.LLCWritebackFillShare},
-		}
-		for _, p := range pairs {
-			if p.got != p.want {
-				t.Errorf("%v %s = %v, full run %v", mode, p.name, p.got, p.want)
-			}
-		}
-		if mode == PInTE {
-			if sampled.Engine == nil || full.Engine == nil {
-				t.Fatalf("%v: missing engine stats", mode)
-			}
-			if sampled.Engine.Accesses != full.Engine.Accesses ||
-				sampled.Engine.Triggers != full.Engine.Triggers {
-				t.Errorf("%v engine = %d/%d, full %d/%d", mode,
-					sampled.Engine.Accesses, sampled.Engine.Triggers,
-					full.Engine.Accesses, full.Engine.Triggers)
-			}
-		}
-		if sampled.Sampled.InstrsSkipped != 0 {
-			t.Errorf("%v: full-window plan skipped %d instrs", mode, sampled.Sampled.InstrsSkipped)
-		}
+	}
+	if sampled.Sampled.InstrsSkipped != 0 {
+		t.Errorf("%v: full-window plan skipped %d instrs", mode, sampled.Sampled.InstrsSkipped)
 	}
 }
 

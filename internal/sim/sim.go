@@ -2,8 +2,9 @@
 // of contention: Isolation (one core, no injection), PInTE (one core with
 // the injection engine on the LLC), and SecondTrace (two cores sharing
 // the LLC and DRAM — the multi-programmed baseline). It handles warm-up,
-// the region of interest, periodic run-time sampling, and parallel
-// experiment execution.
+// the region of interest, periodic run-time sampling, phase-sampled
+// execution and fan-out groups that share one trace decode; campaigns
+// run through internal/runner.
 package sim
 
 import (
@@ -11,18 +12,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
-	"sync"
 	"time"
 
-	"repro/internal/branch"
 	"repro/internal/cache"
 	pinte "repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/fault"
-	"repro/internal/partition"
 	"repro/internal/phase"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -341,10 +336,6 @@ func specFor(name string, override *trace.Spec) (trace.Spec, error) {
 	return trace.SpecFor(name)
 }
 
-// adversaryBase offsets the second core's address space so co-runners
-// never share data blocks (distinct physical footprints).
-const adversaryBase = 1 << 42
-
 // Run executes one simulation to completion.
 func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
@@ -357,20 +348,6 @@ func ctxError(ctx context.Context) error {
 		return ErrTimeout
 	}
 	return ErrCanceled
-}
-
-// RunSafe is RunContext with panic isolation: a panicking simulation is
-// recovered into a *PanicError (wrapping ErrPanic) with the goroutine
-// stack attached, instead of crashing the process. Batch drivers use it
-// so one broken run cannot kill a campaign.
-func RunSafe(ctx context.Context, cfg Config) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return RunContext(ctx, cfg)
 }
 
 // RunContext executes one simulation under ctx: a context deadline
@@ -393,155 +370,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	start := time.Now()
 
-	spec, err := specFor(cfg.Workload, cfg.WorkloadSpec)
+	m, err := newMachine(cfg, wiring{})
 	if err != nil {
 		return nil, err
 	}
-
-	dcfg := dram.Default()
-	if cfg.DRAM != nil {
-		dcfg = *cfg.DRAM
-	}
-	mem, err := dram.New(dcfg)
-	if err != nil {
-		return nil, err
-	}
-	var hierMem cache.Memory = mem
-	var dramInj *pinte.DRAMContention
-	if cfg.DRAMContentionProb > 0 {
-		dramInj, err = pinte.NewDRAMContention(pinte.DRAMContentionParams{
-			Probability:   cfg.DRAMContentionProb,
-			PenaltyCycles: cfg.DRAMContentionPenalty,
-			Seed:          cfg.Seed + 11,
-		}, mem)
-		if err != nil {
-			return nil, err
-		}
-		hierMem = dramInj
-	}
-
-	cores := 1
-	if cfg.Mode == SecondTrace {
-		cores = 2 + len(cfg.Adversaries)
-	}
-	hcfg := cfg.Hier
-	hcfg.Cores = cores
-	hcfg.Seed = cfg.Seed
-	hier, err := cache.NewHierarchy(hcfg, hierMem)
-	if err != nil {
-		return nil, err
-	}
-	var ctrl partition.Controller
-	if cfg.Partitioning != "" {
-		ctrl, err = partition.New(cfg.Partitioning, cores)
-		if err != nil {
-			return nil, err
-		}
-		ctrl.Attach(hier.LLC())
-	}
-	if n := cfg.LLCWayAllocation; n > 0 {
-		if n > hier.LLC().Ways() {
-			return nil, fmt.Errorf("%w: LLC way allocation %d exceeds %d ways",
-				ErrBadConfig, n, hier.LLC().Ways())
-		}
-		mask := uint64(1)<<uint(n) - 1
-		for core := 0; core < cores; core++ {
-			if err := hier.LLC().SetWayPartition(core, mask); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// streams resolves each core's instruction source: the replay cache
-	// when one is attached, a fresh generator otherwise.
-	streams := cfg.Streams
-	if streams == nil {
-		streams = trace.Generate{}
-	}
-
-	cpuCfg := cfg.CPU
-	if cpuCfg.MLP == 0 {
-		cpuCfg.MLP = spec.MLP
-	}
-	gen0, err := streams.Source(spec, cfg.Seed+1, 0)
-	if err == nil {
-		err = fault.Err(fault.SiteSimSource)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if fault.Enabled() {
-		// Chaos mode interposes on the primary stream so trace.read
-		// faults surface through the core's error path mid-run. Never
-		// wrapped in production: Enabled() is false there, keeping the
-		// hot call edge devirtualised.
-		gen0 = &faultSource{src: gen0}
-	}
-	bp0, err := branch.New(cfg.Branch)
-	if err != nil {
-		return nil, err
-	}
-	core0 := cpu.NewCore(0, cpuCfg, gen0, hier, bp0)
-	sys := cpu.NewSystem(core0)
-	sys.RestartFinished = true
-
-	var engine *pinte.Engine
-	var ticker *pinte.Ticker
-	switch cfg.Mode {
-	case PInTE:
-		eseed := cfg.EngineSeed
-		if eseed == 0 {
-			eseed = cfg.Seed + 7
-		}
-		engine, err = pinte.NewEngine(pinte.Params{PInduce: cfg.PInduce, Seed: eseed})
-		if err != nil {
-			return nil, err
-		}
-		if cfg.IndependentPeriod > 0 {
-			// Extension: the flow runs on a schedule instead of on
-			// LLC accesses.
-			ticker, err = pinte.NewTicker(engine, hier.LLC())
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			hier.LLC().SetInjector(engine)
-		}
-		hier.LLC().SetWritebackSink(func(addr uint64) {
-			mem.Access(core0.Cycles, addr, true)
-		})
-	case SecondTrace:
-		names := append([]string{cfg.Adversary}, cfg.Adversaries...)
-		for i, name := range names {
-			var override *trace.Spec
-			if i == 0 {
-				override = cfg.AdversarySpec
-			}
-			aspec, err := specFor(name, override)
-			if err != nil {
-				return nil, err
-			}
-			// Adversary streams always come from a fresh generator,
-			// never the replay cache: an adversary core consumes
-			// records until the primary finishes, so its stream length
-			// scales with the slowest pairing's cycle count rather
-			// than the configured ROI — recording such unbounded
-			// streams costs more arena memory and pack work than
-			// their replay returns.
-			gen, err := trace.Generate{}.Source(aspec, cfg.Seed+2+uint64(i),
-				adversaryBase*uint64(i+1))
-			if err != nil {
-				return nil, err
-			}
-			advCPU := cfg.CPU
-			advCPU.MLP = aspec.MLP
-			bp, err := branch.New(cfg.Branch)
-			if err != nil {
-				return nil, err
-			}
-			sys.Cores = append(sys.Cores, cpu.NewCore(1+i, advCPU, gen, hier, bp))
-		}
-	}
+	hier, core0, engine := m.hier, m.core0, m.engine
+	ticker, ctrl := m.ticker, m.ctrl
 
 	// tick advances the access-independent injection schedule, when
 	// enabled, to the primary core's current instruction count, and
@@ -571,44 +405,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	// interrupted is polled between scheduling quanta; it records the
-	// taxonomy error for a done context so the stop callback can halt
-	// the system loop.
-	var stopErr error
-	interrupted := func() bool {
-		select {
-		case <-ctx.Done():
-			stopErr = ctxError(ctx)
-			return true
-		default:
-			return false
-		}
-	}
-
-	// Warm-up: event counters reset; clocks keep running (they are
-	// physical time shared with the DRAM bank timestamps).
 	if cfg.WarmupInstrs > 0 {
-		err = sys.Run(func(*cpu.Core) bool {
+		err = m.run(ctx, func() bool {
 			tick()
-			return interrupted() || core0.Instrs >= cfg.WarmupInstrs
+			return core0.Instrs >= cfg.WarmupInstrs
 		})
 		if err != nil {
 			return nil, err
 		}
-		if stopErr != nil {
-			return nil, stopErr
-		}
-		hier.ResetStats()
-		for _, c := range sys.Cores {
-			c.ResetStats()
-		}
-		mem.Stats = dram.Stats{}
-		if engine != nil {
-			engine.ResetStats()
-		}
-		if dramInj != nil {
-			dramInj.ResetStats()
-		}
+		m.resetStats()
 	}
 	roiStartInstrs, roiStartCycles := core0.Instrs, core0.Cycles
 	roiEnd := roiStartInstrs + cfg.ROIInstrs
@@ -624,19 +429,16 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		col = telemetry.NewCollector(cfg.TelemetryEvery, cfg.ROIInstrs,
 			hier.LLC().CapacityBlocks(), telemetrySnap(core0, hier, engine))
 	}
-	err = sys.Run(func(*cpu.Core) bool {
+	err = m.run(ctx, func() bool {
 		tick()
 		sampler.maybeSample(&res.Samples)
 		if col != nil && core0.Instrs >= col.NextAt() {
 			col.Record(telemetrySnap(core0, hier, engine))
 		}
-		return interrupted() || core0.Instrs >= roiEnd
+		return core0.Instrs >= roiEnd
 	})
 	if err != nil {
 		return nil, err
-	}
-	if stopErr != nil {
-		return nil, stopErr
 	}
 	sampler.maybeSample(&res.Samples)
 	if col != nil {
@@ -647,8 +449,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	fillResult(res, core0, hier, engine, roiStartInstrs, roiStartCycles)
-	if dramInj != nil {
-		st := dramInj.Stats
+	if m.dramInj != nil {
+		st := m.dramInj.Stats
 		res.DRAMInjection = &st
 	}
 	if ticker != nil {
@@ -804,60 +606,4 @@ func (s *sampler) maybeSample(out *[]Sample) {
 	*out = append(*out, smp)
 	s.prev = cur
 	s.nextAt = cur.instrs + s.cfg.SampleEvery
-}
-
-// RunMany executes configs in parallel across workers goroutines
-// (GOMAXPROCS when workers <= 0) and returns results in input order.
-// Failures are isolated per run: every config executes (a panicking run
-// is recovered into a *PanicError rather than crashing the process),
-// results holds the successes (nil at failed indexes), and the returned
-// error joins one *RunFailure per failed config — callers emit what
-// completed and report the rest. For per-run deadlines, retries and
-// crash-safe journaling use internal/runner.
-func RunMany(cfgs []Config, workers int) ([]*Result, error) {
-	return RunManyContext(context.Background(), cfgs, workers)
-}
-
-// RunManyContext is RunMany under a context: cancellation stops
-// scheduling new work, interrupts in-flight runs, and marks every
-// not-yet-finished config with ErrCanceled.
-func RunManyContext(ctx context.Context, cfgs []Config, workers int) ([]*Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	results := make([]*Result, len(cfgs))
-	failures := make([]error, len(cfgs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				r, err := RunSafe(ctx, cfgs[i])
-				if err != nil {
-					failures[i] = &RunFailure{Index: i, Config: cfgs[i], Err: err}
-					continue
-				}
-				results[i] = r
-			}
-		}()
-	}
-	sent := len(cfgs)
-	for i := range cfgs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			sent = i
-		}
-		if sent != len(cfgs) {
-			break
-		}
-	}
-	close(idx)
-	wg.Wait()
-	for i := sent; i < len(cfgs); i++ {
-		failures[i] = &RunFailure{Index: i, Config: cfgs[i], Err: ErrCanceled}
-	}
-	return results, errors.Join(failures...)
 }
