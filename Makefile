@@ -62,7 +62,8 @@ chaos:
 # plus the dispatch-sensitive ones (pool scheduling, fan-out groups and
 # their chaos panic/hang paths, the stall watchdog, cancellation, the
 # fan barrier, the sim fan executors' goroutine start-up and abort
-# paths) twenty times over on two procs, race-enabled, so a
+# paths, the digest executor's edge cases and its mismatch refusal)
+# twenty times over on two procs, race-enabled, so a
 # scheduling-dependent failure shows up here rather than as a flaky
 # `test`.
 stress:
@@ -72,7 +73,7 @@ stress:
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestFanBarrier|TestFanAbort' \
 		./internal/replay
 	GOMAXPROCS=2 $(GO) test -race -count=20 \
-		-run 'TestFanoutCancellation|TestFanoutDigestNoWarmup|TestFanoutMixedKeysRejected' \
+		-run 'TestFanoutCancellation|TestFanoutDigestNoWarmup|TestFanoutMixedKeysRejected|TestFanoutDigestEdges|TestFanoutDigestMismatch' \
 		./internal/sim
 
 # Service smoke gate, race-enabled: the pinted lifecycle/admission/

@@ -14,14 +14,15 @@ import "fmt"
 // A capture-mode hierarchy exploits that: it runs the front end once,
 // stops every demand access at the L2 boundary, and records the sparse
 // stream of accesses that would have gone below — each with its retiring
-// instruction index, whether it descends to the LLC (L2 miss) and which
-// dirty L2 victims it pushed down. Follower simulations then replay
-// just that stream against their own private LLC + memory via
-// DescendLLC / WritebackToLLC, reusing the exact production code for
-// the levels that differ.
+// instruction index, the core's clock at issue, whether it descends to
+// the LLC (L2 miss) and which dirty L2 victims it pushed down. Follower
+// simulations then replay just that stream against their own private
+// LLC + memory via DescendLLC / WritebackToLLC, reusing the exact
+// production code for the levels that differ.
 
-// FrontEvent is one demand access that left a core's L1 during a
-// capture pass: the part of the access the front end cannot price
+// FrontEvent is one demand access that reached past a core's L2 during
+// a capture pass — it descends to the LLC, pushes dirty L2 victims
+// toward it, or both: the part of the access the front end cannot price
 // point-independently.
 type FrontEvent struct {
 	// Instr is the core's retiring-instruction index when the access
@@ -30,6 +31,10 @@ type FrontEvent struct {
 	Instr uint64
 	// Addr is the accessed data or fetch address.
 	Addr uint64
+	// Now is the driving core's clock when the access issued (the now
+	// passed to Hierarchy.Access). A follower's clock differs from it
+	// only by the extra latency of the descents before it.
+	Now uint64
 	// Kind is the demand access type (Load, StoreAccess, Ifetch).
 	Kind AccessKind
 	// Descend marks an L2 miss: the follower must run the below-L2 leg
@@ -42,8 +47,7 @@ type FrontEvent struct {
 }
 
 // FrontCapture accumulates the events and writeback addresses of a
-// capture pass. The executor swaps the backing slices out per batch;
-// Reset rearms them.
+// capture pass. The executor swaps the backing slices out per batch.
 type FrontCapture struct {
 	Events  []FrontEvent
 	WBAddrs []uint64
@@ -52,14 +56,8 @@ type FrontCapture struct {
 	cur    FrontEvent
 }
 
-// Reset clears the captured streams, retaining capacity.
-func (c *FrontCapture) Reset() {
-	c.Events = c.Events[:0]
-	c.WBAddrs = c.WBAddrs[:0]
-}
-
-func (c *FrontCapture) openEvent(addr uint64, kind AccessKind) {
-	c.cur = FrontEvent{Instr: *c.instrs, Addr: addr, Kind: kind}
+func (c *FrontCapture) openEvent(addr uint64, kind AccessKind, now uint64) {
+	c.cur = FrontEvent{Instr: *c.instrs, Addr: addr, Now: now, Kind: kind}
 }
 
 func (c *FrontCapture) markDescend() { c.cur.Descend = true }
@@ -69,11 +67,17 @@ func (c *FrontCapture) addWriteback(addr uint64) {
 	c.WBAddrs = append(c.WBAddrs, addr)
 }
 
-func (c *FrontCapture) closeEvent() { c.Events = append(c.Events, c.cur) }
+// closeEvent keeps the event only if it reached past the L2: an access
+// the L2 served without a writeback costs the same at every point.
+func (c *FrontCapture) closeEvent() {
+	if c.cur.Descend || c.cur.WBs > 0 {
+		c.Events = append(c.Events, c.cur)
+	}
+}
 
 // SetFrontCapture switches the hierarchy into capture mode: every
-// demand access that misses a core's L1 is recorded into cap instead of
-// descending past the L2, and the LLC and memory are never touched.
+// demand access that reaches past a core's L2 is recorded into cap
+// instead of descending, and the LLC and memory are never touched.
 // instrs must point at the driving core's instruction counter (read at
 // event-open time to stamp each event with its trace record index).
 //

@@ -3,6 +3,7 @@ package cache
 import (
 	"math/rand/v2"
 	"testing"
+	"unsafe"
 )
 
 // deadMemory fails the test on any access: a capture-mode hierarchy
@@ -94,13 +95,17 @@ func TestFrontCaptureMatchesInline(t *testing.T) {
 	}
 
 	// The event stream itself: stamps are the retiring-instruction
-	// indices (non-decreasing, in range), descends mark exactly the
-	// in-line run's L2 misses, and the writeback queue is fully owned.
+	// indices (non-decreasing, in range) and the issuing clock, descends
+	// mark exactly the in-line run's L2 misses, and the writeback queue
+	// is fully owned.
 	var descends, wbSum uint64
 	last := uint64(0)
 	for _, ev := range cap.Events {
 		if ev.Instr < last || ev.Instr >= uint64(len(accs)) {
 			t.Fatalf("event stamp %d out of order (prev %d, total %d)", ev.Instr, last, len(accs))
+		}
+		if ev.Now != ev.Instr {
+			t.Fatalf("event for access %d stamped with clock %d, issued at %d", ev.Instr, ev.Now, ev.Instr)
 		}
 		last = ev.Instr
 		if ev.Descend {
@@ -144,6 +149,15 @@ func TestFrontCaptureMatchesInline(t *testing.T) {
 	if rmem.reads != mem.reads || rmem.writes != mem.writes {
 		t.Errorf("replayed memory traffic diverged: %d/%d reads, %d/%d writes",
 			rmem.reads, mem.reads, rmem.writes, mem.writes)
+	}
+}
+
+// TestFrontEventSize pins the captured event at 32 bytes: a sweep
+// group holds two batches of events per group, so a wider event grows
+// every fan-out campaign's resident set.
+func TestFrontEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(FrontEvent{}); n != 32 {
+		t.Errorf("FrontEvent is %d bytes, want 32", n)
 	}
 }
 

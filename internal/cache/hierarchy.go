@@ -51,8 +51,8 @@ func ParseInclusion(s string) (Inclusion, error) {
 }
 
 // AccessKind distinguishes the demand access types entering the
-// hierarchy.
-type AccessKind int
+// hierarchy. A byte keeps FrontEvent at 32 bytes.
+type AccessKind uint8
 
 const (
 	// Load is a demand data read.
@@ -339,7 +339,7 @@ func (h *Hierarchy) Access(core int, pc, addr uint64, kind AccessKind, now uint6
 	hit := l1.Lookup(addr, core, isWrite)
 	if !hit {
 		if h.capture != nil {
-			h.capture.openEvent(addr, kind)
+			h.capture.openEvent(addr, kind, now)
 		}
 		lat += h.fromL2(core, pc, addr, now+lat)
 		h.fillL1(core, l1, addr, isWrite)

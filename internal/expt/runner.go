@@ -28,11 +28,14 @@ const replayBudget = 1 << 30
 // stops a campaign between runs. Safe for concurrent use.
 //
 // Runs additionally share a stream record/replay cache: every config
-// that reuses a (workload, seed) pair — all twelve P_Induce points of a
-// sweep, every rerun of the stability study, every co-run of the same
-// adversary — replays one recorded instruction stream instead of
-// re-executing the synthetic generator. Replayed results are
-// byte-identical to generated ones, so memoized values are unaffected.
+// that reuses a primary (workload, seed) pair — all twelve P_Induce
+// points of a sweep, every rerun of the stability study — replays one
+// recorded instruction stream instead of re-executing the synthetic
+// generator. 2nd-Trace adversaries are the exception: each co-run
+// builds its adversary streams from a fresh generator, since their
+// length follows the co-run's cycle count rather than the ROI.
+// Replayed results are byte-identical to generated ones, so memoized
+// values are unaffected.
 type Runner struct {
 	Scale Scale
 	// Streams is the campaign-wide record/replay cache handed to every

@@ -114,10 +114,11 @@ type Options struct {
 	// extrapolated metrics with error bounds in Result.Sampled. Configs
 	// that are not sample-eligible, members of a failed profile, and
 	// sampled attempts that fail at run time all fall back to the
-	// full-ROI path. Mutually exclusive with Fanout (fan groups run the
-	// full simulator in lockstep); sampling wins when both are set.
-	// Sampled results are approximations: do not mix Sample on and off
-	// across resumes of the same journal.
+	// full-ROI path. Mutually exclusive with Fanout (a fan group
+	// simulates every point's full ROI over one decode, while a sampled
+	// point skips most of it); sampling wins when both are set. Sampled
+	// results are approximations: a resume without Sample re-runs
+	// every point its journal holds only a sampled result for.
 	Sample bool
 	// Pool, when non-nil, executes the campaign on a shared
 	// multi-campaign worker pool instead of a private pool of Workers:
@@ -426,7 +427,11 @@ func (c *campaign) runAll(ctx context.Context) (*Outcome, error) {
 		defer journal.Close()
 		c.journal = journal
 		for i := range cfgs {
-			if res, ok := done[keys[i]]; ok && keys[i] != "" {
+			// A sampled entry is an approximation: it answers a point
+			// only when this campaign samples too. Otherwise the point
+			// re-runs, and its full entry, appended later, is the one
+			// the next load keeps.
+			if res, ok := done[keys[i]]; ok && keys[i] != "" && (res.Sampled == nil || o.opts.Sample) {
 				out.Results[i] = res
 				out.FromJournal++
 			}

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/fault"
@@ -188,6 +189,49 @@ func TestChaosSampledCorruptChunkFailover(t *testing.T) {
 	for i := range cfgs {
 		if out.Results[i] == nil || fingerprint(out.Results[i]) != fingerprint(clean.Results[i]) {
 			t.Errorf("config %d: sampled result diverged after corrupt-chunk failover", i)
+		}
+	}
+}
+
+// TestSampleJournalFidelity checks a resume without Sample does not
+// take a sampled journal entry for a full result: the point re-runs,
+// its full result matches a plain run, and the appended entry
+// supersedes the sampled one for the resume after.
+func TestSampleJournalFidelity(t *testing.T) {
+	cfgs := []sim.Config{tinyCfg("470.lbm", 0.3), tinyCfg("433.milc", 0.1)}
+	journal := filepath.Join(t.TempDir(), "campaign.journal")
+	sampled, err := New(Options{Workers: 2, Sample: true, Journal: journal}).RunAll(context.Background(), cfgs)
+	if err != nil || len(sampled.Failures) != 0 {
+		t.Fatalf("sampled campaign: err=%v failures=%v", err, sampled.Failures)
+	}
+	for i, res := range sampled.Results {
+		if res.Sampled == nil {
+			t.Fatalf("config %d was not sampled", i)
+		}
+	}
+
+	plain := func(t *testing.T, res *sim.Result) string {
+		t.Helper()
+		c := *res
+		c.WallTime = 0
+		return resultBytes(t, &c)
+	}
+	for _, want := range []int{0, len(cfgs)} {
+		out, err := New(Options{Workers: 2, Journal: journal}).RunAll(context.Background(), cfgs)
+		if err != nil || len(out.Failures) != 0 {
+			t.Fatalf("resume: err=%v failures=%v", err, out.Failures)
+		}
+		if out.FromJournal != want {
+			t.Errorf("resume took %d results from the journal, want %d", out.FromJournal, want)
+		}
+		for i, cfg := range cfgs {
+			ref, err := sim.RunContext(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain(t, out.Results[i]) != plain(t, ref) {
+				t.Errorf("config %d: resumed result is not the full run's", i)
+			}
 		}
 	}
 }

@@ -10,11 +10,14 @@ package sim
 //     hierarchy. Under that shape the whole front end (trace decode,
 //     branch prediction, L1I/L1D/L2) evolves identically across points:
 //     nothing below the L2 feeds back into it, so one capture-mode pass
-//     (cache.FrontCapture) runs it once and records the sparse stream of
-//     below-L2 work. Followers replay just that stream against their own
-//     private LLC + memory + engine through the production descend and
-//     writeback code, pricing instructions with the same arithmetic as
-//     cpu.Core. This shares ~85% of a run's work, not just the decode.
+//     (cache.FrontCapture) runs it once, records the sparse stream of
+//     below-L2 work, and checkpoints its core's counters where a
+//     follower acts (end of warm-up, sample boundaries, end of ROI).
+//     Followers replay just that stream against their own private LLC +
+//     memory + engine through the production descend and writeback
+//     code, and offset the front's clock by what each descent cost them
+//     beyond the front's price. A follower's cost is O(LLC-bound
+//     events), not O(records): everything else is the front's, once.
 //
 //   - The lockstep executor covers everything else the group key admits
 //     (SecondTrace points, inclusive hierarchies, prefetchers, telemetry
@@ -32,12 +35,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/fault"
@@ -290,46 +291,76 @@ func runFanLockstep(ctx context.Context, norm []Config, spec trace.Spec, fresh f
 // Digest executor
 // ---------------------------------------------------------------------
 
-// fanDigest is one decoded batch's front-end digest: the below-L2
-// accesses (with their L2 writeback victims) and the mispredicted
-// branches, both keyed by absolute instruction index. Double-buffered by
-// the front; the barrier guarantees a buffer is idle before reuse.
+// errDigestMismatch reports a follower whose digest disagrees with the
+// records it shares a batch with, or lacks a checkpoint the follower
+// must act at: the front and the follower no longer describe the same
+// run, so the point fails rather than price a different one.
+var errDigestMismatch = errors.New("sim: fan digest mismatch")
+
+// fanDigest is one decoded batch's front-end digest: the accesses that
+// left the L1 (with their L2 writeback victims), keyed by absolute
+// instruction index and stamped with the front's clock, and a
+// checkpoint at each quantum boundary in the batch where followers act.
+// Double-buffered by the front; the barrier guarantees a buffer is idle
+// before reuse.
 type fanDigest struct {
 	events []cache.FrontEvent
 	wbs    []uint64
-	misp   []uint64
+	ckpts  []fanCheckpoint
 	err    error
 }
 
-// mispTap wraps the front's branch predictor and records the instruction
-// index of every mispredict, so followers replay outcomes without
-// running a predictor of their own.
-type mispTap struct {
-	inner  branch.Predictor
-	instrs *uint64
-	misp   *[]uint64
-	pred   bool
+// fanCheckpoint is the front's point-invariant state after instrs
+// instructions: everything a follower reports that no LLC outcome
+// moves, plus the clock and AMAT inputs it offsets by its own descents.
+type fanCheckpoint struct {
+	instrs, cycles   uint64
+	stats            cpu.Stats
+	dataAcc, dataLat uint64
 }
 
-func (t *mispTap) Name() string { return t.inner.Name() }
-
-func (t *mispTap) Predict(pc uint64) bool {
-	t.pred = t.inner.Predict(pc)
-	return t.pred
+// fanStops is the schedule of quantum boundaries where a follower acts:
+// the end of warm-up, every sample boundary on the sampler's nextAt
+// schedule, and the end of the ROI (RunContext's stop conditions). The
+// front checkpoints exactly there and a follower expects a checkpoint
+// exactly there, so a checkpoint missing from a digest is caught. cfg
+// is defaulted, so the warm-up is never empty.
+type fanStops struct {
+	cfg                Config
+	inROI              bool
+	roiEnd, nextSample uint64
 }
 
-func (t *mispTap) Update(pc uint64, taken bool) {
-	t.inner.Update(pc, taken)
-	if t.pred != taken {
-		*t.misp = append(*t.misp, *t.instrs)
+// next returns the boundary of the next stop: the first quantum
+// boundary at or past what falls due next.
+func (s *fanStops) next() uint64 {
+	due := s.cfg.WarmupInstrs
+	if s.inROI {
+		due = min(s.roiEnd, s.nextSample)
 	}
+	return (due + fanQuantum - 1) / fanQuantum * fanQuantum
+}
+
+// pass steps the schedule past the stop at instrs and reports whether
+// it entered or ended the ROI there.
+func (s *fanStops) pass(instrs uint64) (enter, end bool) {
+	if !s.inROI {
+		s.inROI = true
+		s.roiEnd = instrs + s.cfg.ROIInstrs
+		s.nextSample = instrs + s.cfg.SampleEvery
+		return true, false
+	}
+	if instrs >= s.nextSample {
+		s.nextSample = instrs + s.cfg.SampleEvery
+	}
+	return false, instrs >= s.roiEnd
 }
 
 // fanFront is the digest executor's shared front end.
 type fanFront struct {
 	feed  *replay.FanReader
 	cap   *cache.FrontCapture
-	misp  []uint64
+	ckpts []fanCheckpoint
 	hier  *cache.Hierarchy // exposed to followers after the final digest
 	bufs  [2]fanDigest
 	cur   int
@@ -355,7 +386,7 @@ func (fr *fanFront) publish(err error) {
 	d := &fr.bufs[fr.cur]
 	d.events = fr.cap.Events
 	d.wbs = fr.cap.WBAddrs
-	d.misp = fr.misp
+	d.ckpts = fr.ckpts
 	d.err = err
 	for i := range fr.chans {
 		if fr.alive[i].Load() {
@@ -370,7 +401,7 @@ func (fr *fanFront) rearm() {
 	d := &fr.bufs[fr.cur]
 	fr.cap.Events = d.events[:0]
 	fr.cap.WBAddrs = d.wbs[:0]
-	fr.misp = d.misp[:0]
+	fr.ckpts = d.ckpts[:0]
 }
 
 // frontFeed is the front core's trace reader: it seals and publishes the
@@ -391,46 +422,41 @@ func (f *frontFeed) NextSlice() ([]trace.Record, error) {
 func (f *frontFeed) Next(rec *trace.Record) error { return f.fr.feed.Next(rec) }
 
 // run executes the capture pass: a real core against a capture-mode
-// hierarchy, mirroring RunContext's warm-up/ROI structure exactly so the
+// hierarchy, stopping at the boundaries RunContext stops at, so the
 // front consumes the same quantum-aligned record count as a sequential
-// run of any group member.
+// run of any group member. At each stop it checkpoints; a checkpoint
+// joins the current batch's digest, since the core fetches the next
+// batch only when it runs on.
 func (fr *fanFront) run(cfg Config) error {
-	tap := &mispTap{misp: &fr.misp}
-	m, err := newMachine(cfg, wiring{
-		below: noMem{},
-		feed:  &frontFeed{fr: fr},
-		tap: func(bp branch.Predictor) branch.Predictor {
-			tap.inner = bp
-			return tap
-		},
-	})
+	m, err := newMachine(cfg, wiring{below: noMem{}, feed: &frontFeed{fr: fr}})
 	if err != nil {
 		return err
 	}
 	core := m.core0
-	tap.instrs = &core.Instrs
 	if err := m.hier.SetFrontCapture(fr.cap, &core.Instrs); err != nil {
 		return err
 	}
 	fr.hier = m.hier
-	if cfg.WarmupInstrs > 0 {
-		err := m.sys.Run(func(*cpu.Core) bool { return core.Instrs >= cfg.WarmupInstrs })
-		if err != nil {
+	stops := fanStops{cfg: cfg}
+	for {
+		at := stops.next()
+		if err := m.sys.Run(func(*cpu.Core) bool { return core.Instrs >= at }); err != nil {
 			return err
 		}
-		if core.Instrs < cfg.WarmupInstrs {
+		if core.Instrs < at {
 			return io.ErrUnexpectedEOF
 		}
-		m.resetStats()
+		enter, end := stops.pass(core.Instrs)
+		if enter {
+			m.resetStats()
+		}
+		h := &m.hier.Stats
+		fr.ckpts = append(fr.ckpts, fanCheckpoint{core.Instrs, core.Cycles, core.Stats,
+			h.DemandDataAccesses[0], h.DemandDataLatency[0]})
+		if end {
+			return nil
+		}
 	}
-	roiEnd := core.Instrs + cfg.ROIInstrs
-	if err := m.sys.Run(func(*cpu.Core) bool { return core.Instrs >= roiEnd }); err != nil {
-		return err
-	}
-	if core.Instrs < roiEnd {
-		return io.ErrUnexpectedEOF
-	}
-	return nil
 }
 
 // noMem backs the capture-mode hierarchy: capture stops every access at
@@ -442,18 +468,18 @@ func (noMem) Access(now, addr uint64, isWrite bool) uint64 {
 	panic("sim: capture-mode hierarchy touched memory")
 }
 
-// runFanDigest runs the digest executor: one front capture pass feeding
-// len(norm) followers.
+// startFanFront opens the group's primary stream behind a fan with a
+// reader for the front and one per follower, and starts the front's
+// capture pass. Follower i reads fan reader i+1 and digest channel i.
 //
 // The front drives the group's only decode, so the per-run sim.source
 // and trace.read sites strike the shared stream: a fired fault fails the
 // whole group, which then retries per run.
-func runFanDigest(ctx context.Context, norm []Config, spec trace.Spec, fresh func() (trace.Source, error), grace time.Duration, start time.Time, pts []FanPoint) {
+func startFanFront(norm []Config, spec trace.Spec, fresh func() (trace.Source, error)) (*replay.Fan, *fanFront, error) {
 	n := len(norm)
 	src, err := openPrimary(norm[0], spec)
 	if err != nil {
-		failAll(pts, err)
-		return
+		return nil, nil, err
 	}
 	fan := replay.NewFan(src, n+1, 0, fresh)
 
@@ -484,8 +510,18 @@ func runFanDigest(ctx context.Context, norm []Config, spec trace.Spec, fresh fun
 		}()
 		ferr = fr.run(norm[0])
 	}()
+	return fan, fr, nil
+}
 
-	ch := make(chan fanDone, n)
+// runFanDigest runs the digest executor: one front capture pass feeding
+// len(norm) followers.
+func runFanDigest(ctx context.Context, norm []Config, spec trace.Spec, fresh func() (trace.Source, error), grace time.Duration, start time.Time, pts []FanPoint) {
+	fan, fr, err := startFanFront(norm, spec, fresh)
+	if err != nil {
+		failAll(pts, err)
+		return
+	}
+	ch := make(chan fanDone, len(norm))
 	for i := range norm {
 		go func(i int) {
 			res, err := runFanFollower(norm[i], fr, fan.Reader(i+1), fr.chans[i], &fr.alive[i], start)
@@ -496,28 +532,35 @@ func runFanDigest(ctx context.Context, norm []Config, spec trace.Spec, fresh fun
 }
 
 // fanFollower is one point's private state in the digest executor: the
-// point-dependent machine (LLC, DRAM, engine) plus the cpu.Core timing
-// arithmetic replayed over digests.
+// point-dependent machine (LLC, DRAM, engine) and how far its clock and
+// AMAT inputs have drifted from the front's.
+//
+// A follower differs from the front only where an access descends past
+// the L2: the front priced the descent at the LLC hit latency, the
+// follower at what its own LLC and memory answer. So its clock is the
+// front's plus cycOff, the sum of those differences (after the MLP
+// divide for loads), and it visits nothing but descents, writebacks and
+// checkpoints.
 type fanFollower struct {
-	cfg  Config
-	m    *machine
-	hier *cache.Hierarchy // m.hier, kept one load away on the access path
+	cfg   Config
+	m     *machine
+	hier  *cache.Hierarchy // m.hier, kept one load away on the access path
+	stops fanStops
 
-	instrs   uint64
-	cycles   uint64
-	widthAcc int
-	stats    cpu.Stats
-	samples  []Sample
-	smp      *sampler
+	base    uint64 // instruction index of the current batch's first record
+	instrs  uint64 // at the last checkpoint
+	cycles  uint64 // at the last event or checkpoint; the writeback sink's clock
+	stats   cpu.Stats
+	samples []Sample
+	smp     *sampler
 
-	l1iLat, l1dLat, l2Lat uint64
-	width                 int
-	penalty               uint64
-	mlp                   uint64
-	mlpShift              int
+	// cycOff is the follower's clock minus the front's; stallOff and
+	// latOff are its LoadStall and DemandDataLatency minus the front's
+	// since the ROI began.
+	cycOff, stallOff, latOff uint64
 
-	inROI                bool
-	roiEnd               uint64
+	l1iLat, l1dLat, l2Lat, llcLat, mlp uint64
+
 	roiStartI, roiStartC uint64
 }
 
@@ -532,28 +575,18 @@ func runFanFollower(cfg Config, fr *fanFront, rd *replay.FanReader, dig <-chan *
 	}()
 	fault.InjectWorker()
 
-	st := &fanFollower{cfg: cfg}
+	st := &fanFollower{cfg: cfg, stops: fanStops{cfg: cfg}}
 	m, err := newMachine(cfg, wiring{clock: &st.cycles})
 	if err != nil {
 		return nil, err
 	}
 	st.m, st.hier = m, m.hier
 
-	rc := m.cpu.Resolved()
-	st.width = rc.Width
-	st.penalty = rc.MispredictPenalty
-	st.mlp = uint64(rc.MLP)
-	st.mlpShift = -1
-	if mlp := rc.MLP; mlp&(mlp-1) == 0 {
-		st.mlpShift = bits.TrailingZeros(uint(mlp))
-	}
+	st.mlp = uint64(m.cpu.Resolved().MLP)
 	st.l1iLat = st.hier.L1I(0).HitLatency()
 	st.l1dLat = st.hier.L1D(0).HitLatency()
 	st.l2Lat = st.hier.L2(0).HitLatency()
-
-	if cfg.WarmupInstrs == 0 {
-		st.enterROI()
-	}
+	st.llcLat = st.hier.LLC().HitLatency()
 
 	for {
 		view, verr := rd.NextSlice()
@@ -575,155 +608,132 @@ func runFanFollower(cfg Config, fr *fanFront, rd *replay.FanReader, dig <-chan *
 			break
 		}
 	}
-	st.smp.maybeSample(&st.samples)
 
 	res = &Result{Config: cfg, Samples: st.samples}
-	fillResultParts(res, st.instrs-st.roiStartI, st.cycles-st.roiStartC,
+	fillResult(res, st.instrs-st.roiStartI, st.cycles-st.roiStartC,
 		&st.stats, fr.hier, st.hier, m.engine)
 	res.WallTime = time.Since(start)
 	return res, nil
 }
 
-// enterROI mirrors RunContext's end-of-warm-up transition: reset event
-// counters (clocks keep running), pin the ROI window, arm the sampler.
-func (st *fanFollower) enterROI() {
-	st.m.resetStats()
-	st.stats = cpu.Stats{}
-	st.roiStartI, st.roiStartC = st.instrs, st.cycles
-	st.roiEnd = st.instrs + st.cfg.ROIInstrs
-	st.smp = newSampler(st.cfg, &st.instrs, &st.cycles, st.hier)
-	st.inROI = true
-}
-
-// runBatch prices one decoded batch against its digest. The arithmetic
-// is cpu.Core.retire/loadStall verbatim, with the front-end outcomes
-// (which accesses left the L1, their L2 victims, which branches
-// mispredicted) read from the digest instead of recomputed. Event
-// matching is cursor-order: the front emits events in issue order
-// (ifetch, loads, store) stamped with the instruction index.
+// runBatch replays one batch's digest: each event in issue order, and
+// each checkpoint after the events before it. It reports whether the
+// ROI ended.
 func (st *fanFollower) runBatch(view []trace.Record, d *fanDigest) (bool, error) {
-	ev, wbs, misp := d.events, d.wbs, d.misp
-	evPos, wbPos, mispPos := 0, 0, 0
-	for k := range view {
-		rec := &view[k]
-		i := st.instrs
-
-		// Instruction fetch: an event means the fetch left the L1I; its
-		// latency beyond the L1I hit stalls the front end.
-		if evPos < len(ev) && ev[evPos].Instr == i && ev[evPos].Kind == cache.Ifetch {
-			e := &ev[evPos]
-			evPos++
-			il := st.l1iLat + st.l2Lat
-			if e.Descend {
-				il += st.hier.DescendLLC(0, e.Addr, st.cycles+il)
-			}
-			for j := uint8(0); j < e.WBs; j++ {
-				st.hier.WritebackToLLC(0, wbs[wbPos])
-				wbPos++
-			}
-			if il > st.l1iLat {
-				st.cycles += il - st.l1iLat
+	end := st.base + uint64(len(view))
+	ev, wbs := d.events, d.wbs
+	k, wb := 0, 0
+	var err error
+	for c := 0; c <= len(d.ckpts); c++ {
+		lim := ^uint64(0) // past the last checkpoint: every event left
+		if c < len(d.ckpts) {
+			lim = d.ckpts[c].instrs
+			if want := st.stops.next(); lim != want || lim > end {
+				return false, fmt.Errorf("%w: checkpoint at instruction %d, want %d (batch ends at %d)",
+					errDigestMismatch, lim, want, end)
 			}
 		}
-
-		// Issue-width throughput.
-		st.widthAcc++
-		if st.widthAcc >= st.width {
-			st.widthAcc = 0
-			st.cycles++
-		}
-
-		if rec.IsBranch {
-			st.stats.Branches++
-			if mispPos < len(misp) && misp[mispPos] == i {
-				mispPos++
-				st.stats.Mispredicts++
-				st.cycles += st.penalty
+		for ; k < len(ev) && ev[k].Instr < lim; k++ {
+			if wb, err = st.replay(view, ev, k, wbs, wb); err != nil {
+				return false, err
 			}
 		}
-
-		if rec.Load0 != 0 {
-			st.stats.Loads++
-			evPos, wbPos = st.load(rec.Load0, rec.Dependent, i, ev, evPos, wbs, wbPos)
-		}
-		if rec.Load1 != 0 {
-			st.stats.Loads++
-			evPos, wbPos = st.load(rec.Load1, false, i, ev, evPos, wbs, wbPos)
-		}
-
-		if rec.Store != 0 {
-			st.stats.Stores++
-			lat := st.l1dLat
-			if evPos < len(ev) && ev[evPos].Instr == i && ev[evPos].Kind == cache.StoreAccess {
-				e := &ev[evPos]
-				evPos++
-				lat = st.l1dLat + st.l2Lat
-				if e.Descend {
-					lat += st.hier.DescendLLC(0, e.Addr, st.cycles+lat)
-				}
-				for j := uint8(0); j < e.WBs; j++ {
-					st.hier.WritebackToLLC(0, wbs[wbPos])
-					wbPos++
-				}
-			}
-			// Stores retire through the write buffer: latency feeds the
-			// AMAT inputs, no retirement stall.
-			st.hier.Stats.DemandDataAccesses[0]++
-			st.hier.Stats.DemandDataLatency[0] += lat
-		}
-
-		st.instrs++
-		if st.instrs%fanQuantum == 0 {
-			if !st.inROI {
-				if st.instrs >= st.cfg.WarmupInstrs {
-					st.enterROI()
-				}
-			} else {
-				st.smp.maybeSample(&st.samples)
-				if st.instrs >= st.roiEnd {
-					return true, nil
-				}
-			}
+		if c < len(d.ckpts) && st.checkpoint(&d.ckpts[c]) {
+			return true, nil
 		}
 	}
-	if evPos != len(ev) || wbPos != len(wbs) || mispPos != len(misp) {
-		return false, fmt.Errorf("sim: fan digest mismatch (events %d/%d, writebacks %d/%d, mispredicts %d/%d)",
-			evPos, len(ev), wbPos, len(wbs), mispPos, len(misp))
+	if next := st.stops.next(); wb != len(wbs) || next <= end {
+		return false, fmt.Errorf("%w: batch ends at %d with %d of %d writebacks claimed and the next stop at %d",
+			errDigestMismatch, end, wb, len(wbs), next)
 	}
+	st.base = end
 	return false, nil
 }
 
-// load prices one demand load: cpu.Core.loadStall with the hierarchy
-// outcome read from the digest. Loads with no event settled at the L1D
-// hit latency (plain hit or repeat-hit fast path — both price and count
-// identically).
-func (st *fanFollower) load(addr uint64, dependent bool, i uint64, ev []cache.FrontEvent, evPos int, wbs []uint64, wbPos int) (int, int) {
-	lat := st.l1dLat
-	if evPos < len(ev) && ev[evPos].Instr == i && ev[evPos].Kind == cache.Load && ev[evPos].Addr == addr {
-		e := &ev[evPos]
-		evPos++
-		lat = st.l1dLat + st.l2Lat
-		if e.Descend {
-			lat += st.hier.DescendLLC(0, addr, st.cycles+lat)
-		}
-		for j := uint8(0); j < e.WBs; j++ {
-			st.hier.WritebackToLLC(0, wbs[wbPos])
-			wbPos++
+// replay runs front event k against the follower's own LLC and memory:
+// it checks the event against its trace record, descends when the
+// front's L2 missed, pushes the dirty L2 victims the access evicted,
+// and adds what the descent cost beyond the front's price to the
+// offsets. The arithmetic is cpu.Core.retire/loadStall's, differenced.
+func (st *fanFollower) replay(view []trace.Record, ev []cache.FrontEvent, k int, wbs []uint64, wb int) (int, error) {
+	e := &ev[k]
+	i := e.Instr - st.base
+	if i >= uint64(len(view)) {
+		return wb, fmt.Errorf("%w: event at instruction %d outside batch [%d, %d)",
+			errDigestMismatch, e.Instr, st.base, st.base+uint64(len(view)))
+	}
+	rec := &view[i]
+	ok, dependent, l1 := false, false, st.l1dLat
+	switch e.Kind {
+	case cache.Ifetch:
+		ok, l1 = e.Addr == rec.PC, st.l1iLat
+	case cache.StoreAccess:
+		ok = e.Addr == rec.Store
+	case cache.Load:
+		// Load0 issues before Load1, and a second load of the same
+		// block hits, so only the first load event can be Load0's.
+		first := k == 0 || ev[k-1].Instr != e.Instr || ev[k-1].Kind != cache.Load
+		if first && e.Addr == rec.Load0 {
+			ok, dependent = true, rec.Dependent
+		} else {
+			ok = e.Addr == rec.Load1
 		}
 	}
-	st.hier.Stats.DemandDataAccesses[0]++
-	st.hier.Stats.DemandDataLatency[0] += lat
-	if lat > st.l1dLat {
-		stall := lat - st.l1dLat
+	if !ok || wb+int(e.WBs) > len(wbs) {
+		return wb, fmt.Errorf("%w: kind %d event for %#x does not match instruction %d", errDigestMismatch, e.Kind, e.Addr, e.Instr)
+	}
+
+	st.cycles = e.Now + st.cycOff
+	var extra uint64
+	if e.Descend {
+		extra = st.hier.DescendLLC(0, e.Addr, st.cycles+l1+st.l2Lat) - st.llcLat
+	}
+	for j := uint8(0); j < e.WBs; j++ {
+		st.hier.WritebackToLLC(0, wbs[wb])
+		wb++
+	}
+	if extra == 0 {
+		return wb, nil
+	}
+	switch e.Kind {
+	case cache.Ifetch:
+		st.cycOff += extra
+	case cache.Load:
+		// Descents are rare enough to divide where cpu.Core shifts.
+		front := st.l2Lat + st.llcLat
+		stall := front + extra
 		if !dependent {
-			if st.mlpShift >= 0 {
-				stall >>= uint(st.mlpShift)
-			} else {
-				stall /= st.mlp
-			}
+			front, stall = front/st.mlp, stall/st.mlp
 		}
-		st.cycles += stall
-		st.stats.LoadStall += stall
+		st.cycOff += stall - front
+		st.stallOff += stall - front
+		st.latOff += extra
+	case cache.StoreAccess:
+		// Stores retire through the write buffer: latency feeds the
+		// AMAT inputs, no retirement stall.
+		st.latOff += extra
 	}
-	return evPos, wbPos
+	return wb, nil
+}
+
+// checkpoint acts at a stop: the follower's counters become the front's
+// plus its offsets, then it enters the ROI (RunContext's end-of-warm-up
+// transition: event counters reset, clocks keep running), or samples and
+// reports whether the ROI ended.
+func (st *fanFollower) checkpoint(ck *fanCheckpoint) bool {
+	st.instrs, st.cycles = ck.instrs, ck.cycles+st.cycOff
+	enter, end := st.stops.pass(ck.instrs)
+	if enter {
+		st.m.resetStats()
+		st.stallOff, st.latOff = 0, 0
+		st.roiStartI, st.roiStartC = st.instrs, st.cycles
+		st.smp = newSampler(st.cfg, &st.instrs, &st.cycles, st.hier)
+		return false
+	}
+	st.stats = ck.stats
+	st.stats.LoadStall += st.stallOff
+	st.hier.Stats.DemandDataAccesses[0] = ck.dataAcc
+	st.hier.Stats.DemandDataLatency[0] = ck.dataLat + st.latOff
+	st.smp.maybeSample(&st.samples)
+	return end
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
@@ -181,4 +182,131 @@ func TestFanoutReplayBacked(t *testing.T) {
 		cfgs[i].Streams = trace.Generate{}
 	}
 	checkFanEquivalence(t, cfgs)
+}
+
+// TestFanoutDigestEdges covers the edges a follower's clock offset must
+// reproduce: the MLP divide (not a shift), pointer-chase loads that skip
+// the MLP overlap, sample boundaries that do not divide the ROI, and
+// instruction fetches that descend past the L2.
+func TestFanoutDigestEdges(t *testing.T) {
+	sweep := func(base Config) []Config {
+		pinte := base
+		pinte.Mode, pinte.PInduce = PInTE, 0.5
+		return []Config{base, pinte}
+	}
+	t.Run("mlp-divide", func(t *testing.T) {
+		cfg := tiny(Config{Workload: "433.milc"})
+		cfg.CPU.MLP = 3
+		checkFanEquivalence(t, sweep(cfg))
+	})
+	t.Run("dependent-loads", func(t *testing.T) {
+		// 429.mcf's spec MLP of 1 would hide whether a load is
+		// dependent; at 4 only its independent loads overlap.
+		cfg := tiny(Config{Workload: "429.mcf"})
+		cfg.CPU.MLP = 4
+		checkFanEquivalence(t, sweep(cfg))
+	})
+	t.Run("ragged-samples", func(t *testing.T) {
+		cfg := tiny(Config{Workload: "450.soplex"})
+		cfg.ROIInstrs, cfg.SampleEvery = 100_000, 30_000
+		checkFanEquivalence(t, sweep(cfg))
+	})
+	t.Run("ifetch-descends", func(t *testing.T) {
+		spec, err := trace.SpecFor("453.povray")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.CodeBytes = 1 << 20 // twice the default L2
+		cfg := tiny(Config{Workload: "453.povray", WorkloadSpec: &spec})
+		var descends int
+		if _, err := relayFollower(t, cfg, func(d *fanDigest) {
+			for _, e := range d.events {
+				if e.Kind == cache.Ifetch && e.Descend {
+					descends++
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if descends == 0 {
+			t.Fatal("no instruction fetch descended past the L2")
+		}
+		checkFanEquivalence(t, sweep(cfg))
+	})
+}
+
+// relayFollower runs cfg as a one-follower digest group whose digests
+// pass through see on the way from the front to the follower.
+func relayFollower(t *testing.T, cfg Config, see func(*fanDigest)) (*Result, error) {
+	t.Helper()
+	norm := []Config{cfg.withDefaults()}
+	spec, err := specFor(norm[0].Workload, norm[0].WorkloadSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, seed := norm[0].streams(), primarySeed(norm[0])
+	fresh := func() (trace.Source, error) { return streams.Source(spec, seed, 0) }
+	fan, fr, err := startFanFront(norm, spec, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay := make(chan *fanDigest, 2)
+	go func() {
+		defer close(relay)
+		for d := range fr.chans[0] {
+			see(d)
+			relay <- d
+		}
+	}()
+	res, err := runFanFollower(norm[0], fr, fan.Reader(1), relay, &fr.alive[0], time.Now())
+	for range relay {
+		// Drain until the front ends, so it does not outlive the test.
+	}
+	return res, err
+}
+
+// TestFanoutDigestMismatch checks a follower refuses a digest that
+// does not describe its batch: one missing a checkpoint the follower
+// must act at, or one carrying an event its trace record contradicts,
+// fails the point with the mismatch error instead of returning a
+// result priced from the wrong run.
+func TestFanoutDigestMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tamper func(d *fanDigest) bool
+	}{
+		{"missing-checkpoint", func(d *fanDigest) bool {
+			if len(d.ckpts) == 0 {
+				return false
+			}
+			d.ckpts = d.ckpts[1:]
+			return true
+		}},
+		{"foreign-event", func(d *fanDigest) bool {
+			if len(d.events) == 0 {
+				return false
+			}
+			d.events[0].Addr ^= 1 << 61
+			return true
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tampered := false
+			res, err := relayFollower(t, tiny(Config{Workload: "433.milc", Mode: PInTE, PInduce: 0.3}),
+				func(d *fanDigest) {
+					if !tampered && d.err == nil {
+						tampered = tc.tamper(d)
+					}
+				})
+			if !tampered {
+				t.Fatal("no digest to tamper with")
+			}
+			if !errors.Is(err, errDigestMismatch) {
+				t.Errorf("err = %v, want the digest mismatch", err)
+			}
+			if res != nil {
+				t.Errorf("follower returned a result from a mismatched digest")
+			}
+		})
+	}
 }

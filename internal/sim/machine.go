@@ -41,9 +41,6 @@ type wiring struct {
 	// feed, when non-nil, drives the primary core instead of the
 	// config's own stream (the capture front's digest feed).
 	feed trace.Reader
-	// tap wraps the primary core's branch predictor (the front's
-	// mispTap).
-	tap func(branch.Predictor) branch.Predictor
 	// clock, when non-nil, is the cycle count the engine's writeback
 	// sink stamps DRAM writes with, and no cores are built: the caller
 	// prices instructions itself (a fan-out follower). nil stamps with
@@ -163,9 +160,6 @@ func newMachine(cfg Config, w wiring) (*machine, error) {
 		bp, err := branch.New(cfg.Branch)
 		if err != nil {
 			return nil, err
-		}
-		if w.tap != nil {
-			bp = w.tap(bp)
 		}
 		m.core0 = cpu.NewCore(0, m.cpu, src, m.hier, bp)
 		m.sys = cpu.NewSystem(m.core0)

@@ -448,7 +448,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		res.Telemetry = col.Series()
 	}
 
-	fillResult(res, core0, hier, engine, roiStartInstrs, roiStartCycles)
+	fillResult(res, core0.Instrs-roiStartInstrs, core0.Cycles-roiStartCycles,
+		&core0.Stats, hier, hier, engine)
 	if m.dramInj != nil {
 		st := m.dramInj.Stats
 		res.DRAMInjection = &st
@@ -487,17 +488,12 @@ func telemetrySnap(core *cpu.Core, hier *cache.Hierarchy, engine *pinte.Engine) 
 	return c
 }
 
-func fillResult(res *Result, core0 *cpu.Core, hier *cache.Hierarchy, engine *pinte.Engine, instrs0, cycles0 uint64) {
-	fillResultParts(res, core0.Instrs-instrs0, core0.Cycles-cycles0,
-		&core0.Stats, hier, hier, engine)
-}
-
-// fillResultParts computes the ROI aggregates from their raw inputs. The
+// fillResult computes the ROI aggregates from their raw inputs. The
 // private-level metrics (L1/L2 miss rates and MPKI) come from front, the
 // below-L2 metrics (LLC, AMAT, fill mix) from below: the sequential path
 // passes the same hierarchy twice, while a fan-out follower pairs the
 // group's shared front hierarchy with its own private LLC + memory.
-func fillResultParts(res *Result, instrs, cycles uint64, cst *cpu.Stats, front, below *cache.Hierarchy, engine *pinte.Engine) {
+func fillResult(res *Result, instrs, cycles uint64, cst *cpu.Stats, front, below *cache.Hierarchy, engine *pinte.Engine) {
 	llc := below.LLC().Stats
 	res.Instrs = instrs
 	res.Cycles = cycles
